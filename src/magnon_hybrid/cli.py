@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 import time
 from pathlib import Path
@@ -48,22 +47,6 @@ from .magnon import estimate_coupling, estimate_filling
 from .network import solve_modes, wgm_order
 from .spectra import FLOOR_DB, load_ridge_csv, synth_map
 from .svgplot import HeatBackground, Series, render_chart
-
-_THREADS_ENV = "MAGNON_HYBRID_THREADS"
-
-
-def _workers() -> int:
-    raw = os.environ.get(_THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{_THREADS_ENV} must be an integer, got {raw!r}") from exc
-    if val < 1:
-        raise ConfigError(f"{_THREADS_ENV} must be >= 1")
-    return val
-
 
 def cmd_modes(cfg: dict, outdir: Path) -> list[Path]:
     check_schema_version(cfg)
@@ -101,7 +84,7 @@ def cmd_sweep(cfg: dict, outdir: Path) -> list[Path]:
     check_schema_version(cfg)
     check_keys(cfg, {"schema_version", "model", "magnon", "sweep", "plot"}, "")
     model, _, magnon, fields = _sweep_from_cfg(cfg)
-    branches = sweep(model, magnon, fields, workers=_workers())
+    branches = sweep(model, magnon, fields)
     if not branches.stable_mask.any():
         raise AllUnstableError("every sweep point is Bogoliubov-unstable")
 
@@ -132,7 +115,7 @@ def cmd_synth(cfg: dict, outdir: Path) -> list[Path]:
     check_keys(cfg, {"schema_version", "model", "magnon", "sweep", "freq", "noise"}, "")
     model, _, magnon, fields = _sweep_from_cfg(cfg)
     freqs = parse_freq_grid(require_key(cfg, "freq", ""))
-    smap = synth_map(model, magnon, fields, freqs, workers=_workers())
+    smap = synth_map(model, magnon, fields, freqs)
     if "noise" in cfg:
         noise = cfg["noise"]
         check_keys(noise, {"sigma_db", "seed"}, "noise")
@@ -344,7 +327,6 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
-        workers = _workers()
         cfg = load_config(args.config, args.set)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -363,7 +345,6 @@ def main(argv=None) -> int:
         "command": args.command,
         "config": cfg,
         "tool_version": __version__,
-        "threads": workers,
         "elapsed_s": round(time.perf_counter() - t0, 6),
         "outputs": [
             {"path": p.name, "sha256": _sha256(p), "bytes": p.stat().st_size}

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .hamiltonian import HybridModel, _solve_points
+from .hamiltonian import HybridModel, _normal_modes
 from .magnon import MagnonMode
 from .spectra import RidgePoints
 
@@ -210,11 +210,10 @@ def _residuals(problem: FitProblem, theta: np.ndarray):
         return None
     fields_u, inverse = np.unique(problem.field_t, return_inverse=True)
     omega_m = magnon.gyro_ghz_per_t * (fields_u - magnon.field_offset_t)
-    if np.any(omega_m <= 0.0):
-        return None
-    freqs, _, stable = _solve_points(
-        model.photon_freq_ghz, model.coupling_matrix(), omega_m)
-    if not stable.all():
+    photons = np.broadcast_to(model.photon_freq_ghz, (omega_m.size, model.n_photon))
+    freqs, _, stable = _normal_modes(np.column_stack((photons, omega_m)),
+                                     model.coupling_matrix())
+    if not stable.all():      # includes a nonpositive magnon frequency
         return None
     at_points = freqs[inverse]                       # (n_data, n_branch)
     det = problem.freq_ghz[:, None] - at_points
@@ -495,20 +494,8 @@ def photon_mode_spacing(model: HybridModel) -> np.ndarray:
     n = model.n_photon
     if n == 1:
         return np.array([np.inf])
-    t_half = np.sqrt(model.photon_freq_ghz)
-    v = np.diag(model.photon_freq_ghz) + 2.0 * model.photon_coupling_ghz
-    s = (t_half[:, None] * v) * t_half[None, :]
-    w = np.linalg.eigvalsh(s)
-    if w[0] <= 0.0:
+    freqs, _, stable = _normal_modes(model.photon_freq_ghz[None], model.photon_coupling_ghz)
+    if not stable[0]:
         raise InvalidArgumentError("photon block is not positive definite")
-    freqs = np.sqrt(w)
-    gaps = np.diff(freqs)
-    out = np.empty(n)
-    for i in range(n):
-        cand = []
-        if i > 0:
-            cand.append(gaps[i - 1])
-        if i < n - 1:
-            cand.append(gaps[i])
-        out[i] = min(cand)
-    return out
+    gaps = np.diff(freqs[0])
+    return np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))

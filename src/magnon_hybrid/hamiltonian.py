@@ -7,26 +7,29 @@ coupling below is an ordinary frequency in GHz; because the eigenproblem is
 homogeneous of degree one in those numbers, no angular-frequency conversion
 is ever needed inside this module.
 
-Normal modes come from a para-unitary (Bogoliubov) diagonalisation of the
-2(N+1)-dimensional dynamical matrix.  The primary route is the positive-
-definite Cholesky construction; a general eigensolve of the dynamical matrix
-with explicit +/- pair matching is kept as a fallback for the near-singular
-boundary.  Both agree with the independent truncated Fock-basis oracle
-:func:`fock_oracle`.
+Because every coupling is position-only, the Hamiltonian is
+H = 1/2 p^T Omega p + 1/2 x^T V x with Omega = diag(omega) and
+V = Omega + 2*Lambda (Lambda the symmetric coupling matrix).  The squared
+branch frequencies are therefore the eigenvalues of the symmetric
+(N+1)x(N+1) matrix S = Omega^1/2 V Omega^1/2, and the weight of bare mode i
+in branch k (|u_ik|^2 + |v_ik|^2 of the Bogoliubov transformation) is
+e_ik^2 (omega_i/W_k + W_k/omega_i) / 2 for the eigenvectors e_k of S.  This
+one symmetric eigensolve replaces the para-unitary diagonalisation of the
+2(N+1)-dimensional dynamical matrix (Colpa, Physica A 93, 327 (1978)); that
+matrix is kept as :func:`dynamical_matrix` for checks, next to the
+independent truncated Fock-basis oracle :func:`fock_oracle`.
 
 Stability: with all bare frequencies positive, the Hamiltonian quadratic
-form is positive definite exactly when V = diag(omega) + 2*Lambda is, where
-Lambda is the symmetric coupling matrix.  For a single photon mode this
-reduces to the familiar bound omega_c * omega_m > 4 g**2.
+form is positive definite exactly when V is, and so exactly when S is, which
+the same eigensolve decides.  For a single photon mode this reduces to the
+familiar bound omega_c * omega_m > 4 g**2.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
 from scipy.sparse.linalg import eigsh
 
@@ -39,9 +42,6 @@ from .magnon import MagnonMode, magnon_frequency
 
 #: relative tolerance treating two polariton frequencies as degenerate
 _TIE_RTOL = 1e-9
-
-#: |Im|/|Re| below this counts as a real dynamical-matrix eigenvalue
-_REAL_EIG_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -149,14 +149,11 @@ class PolaritonSet:
     """Normal-mode frequencies plus per-branch composition fractions.
 
     ``fractions[k, i]`` is the weight of bare mode i (photons first, magnon
-    last) in branch k; rows are nonnegative and sum to 1.  ``stable`` is
-    False only for placeholder entries inside a sweep, where frequencies and
-    fractions are NaN.
+    last) in branch k; rows are nonnegative and sum to 1.
     """
 
     frequencies_ghz: np.ndarray
     fractions: np.ndarray
-    stable: bool = True
 
     def __post_init__(self):
         freq = np.atleast_1d(np.asarray(self.frequencies_ghz, dtype=float))
@@ -179,47 +176,63 @@ class PolaritonSet:
 
 @dataclass(frozen=True)
 class BranchSet:
-    """Polariton branches sampled on a strictly increasing field grid."""
+    """Polariton branches sampled on a strictly increasing field grid.
+
+    ``freqs[p]`` holds the ascending branch frequencies at ``field_t[p]`` and
+    ``fracs[p]`` their bare-mode fractions (laid out as
+    :attr:`PolaritonSet.fractions`); both are NaN where ``stable[p]`` is
+    False.  The arrays are read-only and the accessors return them or views
+    of them.
+    """
 
     field_t: np.ndarray
-    polaritons: tuple[PolaritonSet, ...]
+    freqs: np.ndarray
+    fracs: np.ndarray
+    stable: np.ndarray
 
     def __post_init__(self):
         field = np.atleast_1d(np.asarray(self.field_t, dtype=float))
-        if field.size != len(self.polaritons):
-            raise InvalidArgumentError("one PolaritonSet per field point required")
-        if field.size == 0:
+        freqs = np.asarray(self.freqs, dtype=float)
+        fracs = np.asarray(self.fracs, dtype=float)
+        stable = np.asarray(self.stable, dtype=bool)
+        if field.ndim != 1 or field.size == 0:
             raise InvalidArgumentError("field grid must be nonempty")
         if field.size > 1 and np.any(np.diff(field) <= 0.0):
             raise InvalidArgumentError("field grid must be strictly increasing")
-        counts = {p.n_branches for p in self.polaritons}
-        if len(counts) > 1:
-            raise InvalidArgumentError("all field points must have the same branch count")
-        field.flags.writeable = False
-        object.__setattr__(self, "field_t", field)
+        m = field.size
+        nb = freqs.shape[-1] if freqs.ndim == 2 else -1
+        if freqs.shape != (m, nb) or fracs.shape != (m, nb, nb) or stable.shape != (m,):
+            raise InvalidArgumentError(
+                f"branch arrays must be (n_field, n_branch), (n_field, n_branch, n_branch) "
+                f"and (n_field,) for {m} fields, got {freqs.shape}, {fracs.shape}, "
+                f"{stable.shape}")
+        for name, arr in (("field_t", field), ("freqs", freqs), ("fracs", fracs),
+                          ("stable", stable)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n_branches(self) -> int:
-        return self.polaritons[0].n_branches
+        return self.freqs.shape[1]
 
     @property
     def stable_mask(self) -> np.ndarray:
-        return np.array([p.stable for p in self.polaritons])
+        return self.stable
 
     def branch_frequencies(self) -> np.ndarray:
         """(n_field, n_branch) array, NaN at unstable points."""
-        return np.vstack([p.frequencies_ghz for p in self.polaritons])
+        return self.freqs
 
     def magnon_fractions(self) -> np.ndarray:
-        return np.vstack([p.magnon_fraction for p in self.polaritons])
+        return self.fracs[:, :, -1]
 
     def to_csv(self, path) -> None:
         from .io_utils import write_rows
         rows = [("field_t", "branch_index", "freq_ghz", "magnon_fraction", "stable")]
-        for b, pol in zip(self.field_t, self.polaritons):
-            for k in range(pol.n_branches):
-                rows.append((b, k, pol.frequencies_ghz[k], pol.fractions[k, -1],
-                             "true" if pol.stable else "false"))
+        for b, freqs, mags, ok in zip(self.field_t.tolist(), self.freqs.tolist(),
+                                      self.magnon_fractions().tolist(), self.stable.tolist()):
+            flag = "true" if ok else "false"
+            rows += [(b, k, f, c, flag) for k, (f, c) in enumerate(zip(freqs, mags))]
         write_rows(path, rows)
 
 
@@ -262,154 +275,69 @@ def build_n8(omega_c1_ghz: float, omega_c2_ghz: float, omega_c3_ghz: float,
 # normal-mode machinery
 # ---------------------------------------------------------------------------
 
-def _stacks(photon_freq: np.ndarray, lam: np.ndarray, omega_m: np.ndarray):
-    """Bogoliubov blocks for a batch of magnon frequencies.
+def _normal_modes(omega: np.ndarray, lam: np.ndarray):
+    """Exact normal modes for a stack of bare-frequency rows.
 
-    Returns (M, V, omega) with M the (m, 2n, 2n) quadratic-form matrix
-    [[A, B], [B, A]], A = diag(omega) + Lambda, B = Lambda, and V the
-    position-space form diag(omega) + 2*Lambda whose positive definiteness
-    decides stability.
+    ``omega`` is (m, n): the bare mode frequencies at each of m points, all
+    sharing the symmetric (n, n) coupling matrix ``lam``.  Returns
+    (freqs, fracs, stable): freqs (m, n) ascending per point, fracs (m, n, n)
+    with ``fracs[p, k, i]`` the weight of bare mode i in branch k, and the
+    boolean mask of points whose bare frequencies are all positive and whose
+    S = Omega^1/2 (Omega + 2 Lambda) Omega^1/2 is positive definite.
+    Unstable points are NaN in freqs and fracs, never raised.
     """
-    omega_m = np.atleast_1d(np.asarray(omega_m, dtype=float))
-    m = omega_m.shape[0]
-    n = lam.shape[0]
-    omega = np.empty((m, n))
-    omega[:, :-1] = photon_freq
-    omega[:, -1] = omega_m
-    eye = np.eye(n)
-    diag = omega[:, :, None] * eye[None, :, :]
-    a_blk = diag + lam
-    b_blk = np.broadcast_to(lam, (m, n, n))
-    top = np.concatenate([a_blk, b_blk], axis=2)
-    bot = np.concatenate([b_blk, a_blk], axis=2)
-    mmat = np.concatenate([top, bot], axis=1)
-    vmat = diag + 2.0 * lam
-    return mmat, vmat, omega
-
-
-def dynamical_matrix(model: HybridModel) -> np.ndarray:
-    """eta @ M for the model: eigenvalues come in +/- frequency pairs."""
-    lam = model.coupling_matrix()
-    mmat, _, _ = _stacks(model.photon_freq_ghz, lam, [model.magnon_freq_ghz])
-    n = model.n_modes
-    eta = np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
-    return eta @ mmat[0]
-
-
-def _tiebreak(freqs: np.ndarray, fracs: np.ndarray):
-    """Order exactly/nearly degenerate branches by descending magnon weight."""
-    n = freqs.shape[0]
-    i = 0
-    while i < n - 1:
-        j = i + 1
-        while j < n and freqs[j] - freqs[i] <= _TIE_RTOL * max(abs(freqs[j]), 1e-300):
-            j += 1
-        if j - i > 1:
-            sel = slice(i, j)
-            order = np.argsort(-fracs[sel, -1], kind="stable")
-            freqs[sel] = freqs[sel][order]
-            fracs[sel] = fracs[sel][order]
-        i = j
-    return freqs, fracs
-
-
-def _colpa_batch(mmat: np.ndarray):
-    """Cholesky-based para-unitary diagonalisation of a stack of pd forms.
-
-    Returns (freqs, fractions) with freqs ascending per point and fractions
-    built from the symplectically normalised eigenvectors: the weight of
-    bare mode i in branch k is u_ik^2 + v_ik^2, normalised to sum to one.
-    Raises numpy.linalg.LinAlgError if any matrix in the stack fails the
-    factorisation.
-    """
-    m, two_n, _ = mmat.shape
-    n = two_n // 2
-    low = np.linalg.cholesky(mmat)           # M = L L^T
-    k = np.transpose(low, (0, 2, 1))         # upper factor, M = K^T K
-    eta = np.concatenate([np.ones(n), -np.ones(n)])
-    lmat = (k * eta[None, None, :]) @ np.transpose(k, (0, 2, 1))
-    evals, evecs = np.linalg.eigh(lmat)
-    freqs = evals[:, n:]                      # positive half, ascending
-    upos = evecs[:, :, n:]
-    tvec = np.linalg.solve(k, upos) * np.sqrt(freqs)[:, None, :]
-    wgt = tvec[:, :n, :] ** 2 + tvec[:, n:, :] ** 2    # (m, mode i, branch k)
-    fracs = np.transpose(wgt / wgt.sum(axis=1, keepdims=True), (0, 2, 1))
-    return freqs, fracs
-
-
-def _dynamical_fallback(mmat: np.ndarray):
-    """General eigensolve of eta @ M with explicit +/- pairing.
-
-    Used when the Cholesky route fails on a marginally positive-definite
-    form.  Raises InstabilityError when the spectrum is complex, contains a
-    (numerically) zero frequency, or a positive-frequency eigenvector cannot
-    be symplectically normalised.
-    """
-    two_n = mmat.shape[0]
-    n = two_n // 2
-    eta = np.concatenate([np.ones(n), -np.ones(n)])
-    evals, evecs = scipy.linalg.eig(eta[:, None] * mmat)
-    scale = np.abs(evals).max()
-    re, im = evals.real, np.abs(evals.imag)
-    if np.any(im > _REAL_EIG_RTOL * np.maximum(np.abs(re), 1e-30 * scale)):
-        raise InstabilityError("dynamical matrix has complex eigenvalues")
-    pos = np.nonzero(re > 1e-12 * scale)[0]
-    if pos.size != n:
-        raise InstabilityError("dynamical matrix lacks n strictly positive frequencies")
-    order = np.argsort(re[pos])
-    freqs = re[pos][order]
-    fracs = np.empty((n, n))
-    for out_k, idx in enumerate(pos[order]):
-        vec = evecs[:, idx]
-        lead = np.argmax(np.abs(vec))
-        vec = (vec / vec[lead]).real if abs(vec[lead]) > 0 else vec.real
-        norm = vec[:n] @ vec[:n] - vec[n:] @ vec[n:]
-        if norm <= 1e-12 * (vec @ vec):
-            raise InstabilityError("positive branch is not symplectically normalisable")
-        vec = vec / np.sqrt(norm)
-        wgt = vec[:n] ** 2 + vec[n:] ** 2
-        fracs[out_k] = wgt / wgt.sum()
-    return freqs, fracs
-
-
-def _solve_points(photon_freq: np.ndarray, lam: np.ndarray, omega_m_array):
-    """Batched polariton solve.
-
-    Returns (freqs, fracs, stable): freqs is (m, n) NaN-filled at unstable
-    points, fracs (m, n, n), stable a boolean mask.  Points with a
-    non-positive-definite quadratic form are flagged, never raised.
-    """
-    mmat, vmat, _ = _stacks(photon_freq, lam, omega_m_array)
-    m, n = vmat.shape[0], vmat.shape[1]
+    m, n = omega.shape
     freqs = np.full((m, n), np.nan)
     fracs = np.full((m, n, n), np.nan)
-    stable = np.linalg.eigvalsh(vmat)[:, 0] > 0.0
-    idx = np.nonzero(stable)[0]
-    if idx.size:
-        try:
-            freqs[idx], fracs[idx] = _colpa_batch(mmat[idx])
-        except np.linalg.LinAlgError:
-            # marginal points: retry one by one with the fallback route
-            for p in idx:
-                try:
-                    try:
-                        f1, c1 = _colpa_batch(mmat[p][None])
-                        freqs[p], fracs[p] = f1[0], c1[0]
-                    except np.linalg.LinAlgError:
-                        freqs[p], fracs[p] = _dynamical_fallback(mmat[p])
-                except InstabilityError:
-                    stable[p] = False
-                    freqs[p] = np.nan
-                    fracs[p] = np.nan
-    for p in np.nonzero(stable)[0]:
-        _tiebreak(freqs[p], fracs[p])
+    stable = np.all(omega > 0.0, axis=1)
+    bare = omega[stable]
+    root = np.sqrt(bare)
+    vmat = 2.0 * lam + bare[:, :, None] * np.eye(n)
+    w2, vecs = np.linalg.eigh(root[:, :, None] * vmat * root[:, None, :])
+    ok = w2[:, 0] > 0.0
+    stable[stable] = ok
+    w = np.sqrt(w2[ok])                               # (ms, branch k)
+    ratio = bare[ok][:, :, None] / w[:, None, :]     # (ms, mode i, branch k)
+    wgt = vecs[ok] ** 2 * (ratio + 1.0 / ratio)
+    freqs[stable] = w
+    fracs[stable] = np.transpose(wgt / wgt.sum(axis=1, keepdims=True), (0, 2, 1))
+    _tiebreak(freqs, fracs)
     return freqs, fracs, stable
 
 
-def _instability_diagnosis(model: HybridModel) -> InstabilityError:
+def dynamical_matrix(model: HybridModel) -> np.ndarray:
+    """eta @ M for the model: eigenvalues come in +/- frequency pairs.
+
+    M = [[A, B], [B, A]] with A = diag(omega) + Lambda and B = Lambda is the
+    quadratic form in (a, a^dag); kept as an independent check on the
+    position-space solve.
+    """
     lam = model.coupling_matrix()
-    _, vmat, _ = _stacks(model.photon_freq_ghz, lam, [model.magnon_freq_ghz])
-    vmin = float(np.linalg.eigvalsh(vmat[0])[0])
+    a_blk = np.diag(model.mode_frequencies_ghz) + lam
+    return np.block([[a_blk, lam], [-lam, -a_blk]])
+
+
+def _tiebreak(freqs: np.ndarray, fracs: np.ndarray) -> None:
+    """Order exactly/nearly degenerate branches by descending magnon weight.
+
+    Works in place on a stack: freqs (m, n) ascending per point, fracs
+    (m, n, n).  Neighbouring branches closer than ``_TIE_RTOL`` (relative)
+    form a tie group; only points holding a tie are reordered.
+    """
+    tie = freqs[:, 1:] - freqs[:, :-1] <= _TIE_RTOL * np.maximum(np.abs(freqs[:, 1:]), 1e-300)
+    pts = np.nonzero(tie.any(axis=1))[0]
+    if pts.size == 0:
+        return
+    group = np.zeros((pts.size, freqs.shape[1]), dtype=np.int64)
+    np.cumsum(~tie[pts], axis=1, out=group[:, 1:])
+    order = np.lexsort((-fracs[pts, :, -1], group), axis=-1)
+    freqs[pts] = np.take_along_axis(freqs[pts], order, axis=1)
+    fracs[pts] = np.take_along_axis(fracs[pts], order[:, :, None], axis=1)
+
+
+def _instability_diagnosis(model: HybridModel) -> InstabilityError:
+    vmat = np.diag(model.mode_frequencies_ghz) + 2.0 * model.coupling_matrix()
+    vmin = float(np.linalg.eigvalsh(vmat)[0])
     pairs = tuple(
         int(i) for i in range(model.n_photon)
         if model.photon_freq_ghz[i] * model.magnon_freq_ghz
@@ -428,12 +356,11 @@ def eigen_full(model: HybridModel) -> PolaritonSet:
     Raises :class:`InstabilityError` with a diagnosis when the quadratic form
     is not positive definite (for one photon mode: omega_c*omega_m < 4 g**2).
     """
-    lam = model.coupling_matrix()
-    freqs, fracs, stable = _solve_points(
-        model.photon_freq_ghz, lam, [model.magnon_freq_ghz])
+    freqs, fracs, stable = _normal_modes(model.mode_frequencies_ghz[None],
+                                         model.coupling_matrix())
     if not stable[0]:
         raise _instability_diagnosis(model)
-    return PolaritonSet(freqs[0], fracs[0], stable=True)
+    return PolaritonSet(freqs[0], fracs[0])
 
 
 def eigen_rwa(model: HybridModel) -> PolaritonSet:
@@ -445,10 +372,9 @@ def eigen_rwa(model: HybridModel) -> PolaritonSet:
     """
     h = np.diag(model.mode_frequencies_ghz) + model.coupling_matrix()
     evals, evecs = np.linalg.eigh(h)
-    fracs = (evecs ** 2).T.copy()
-    freqs = evals.copy()
+    freqs, fracs = evals[None], (evecs ** 2).T[None]
     _tiebreak(freqs, fracs)
-    return PolaritonSet(freqs, fracs, stable=True)
+    return PolaritonSet(freqs[0], fracs[0])
 
 
 def two_mode_exact(omega_c_ghz: float, omega_m_ghz: float, g_ghz: float) -> np.ndarray:
@@ -552,53 +478,24 @@ def fock_oracle(model: HybridModel, n_max: int) -> np.ndarray:
     return trans
 
 
-def sweep(model: HybridModel, magnon: MagnonMode, fields_t, *,
-          workers: int | None = None) -> BranchSet:
+def sweep(model: HybridModel, magnon: MagnonMode, fields_t) -> BranchSet:
     """Polariton branches versus applied field.
 
     At each field the magnon frequency follows ``magnon``'s linear law and
-    the full Hamiltonian is rediagonalised.  Unstable points (including a
-    zero magnon frequency at the field offset) are flagged with
-    ``stable=False`` and NaN frequencies rather than dropped.  ``workers``
-    splits the grid into independently solved chunks; results are assembled
-    in grid order, so the output never depends on scheduling.
+    the full Hamiltonian is rediagonalised, all fields in one batched solve.
+    Unstable points (including a zero magnon frequency at the field offset)
+    are flagged with ``stable=False`` and NaN frequencies rather than dropped.
     """
     fields = np.atleast_1d(np.asarray(fields_t, dtype=float))
     if fields.size == 0:
         raise InvalidArgumentError("field grid must be nonempty")
     if fields.size > 1 and np.any(np.diff(fields) <= 0.0):
         raise InvalidArgumentError("field grid must be strictly increasing")
-    omega_m = magnon_frequency(magnon, fields)
-    omega_m = np.atleast_1d(np.asarray(omega_m, dtype=float))
-    lam = model.coupling_matrix()
-    n = model.n_modes
-
-    valid = omega_m > 0.0
-    freqs = np.full((fields.size, n), np.nan)
-    fracs = np.full((fields.size, n, n), np.nan)
-    stable = np.zeros(fields.size, dtype=bool)
-
-    vidx = np.nonzero(valid)[0]
-    if vidx.size:
-        n_workers = max(1, int(workers or 1))
-        if n_workers == 1 or vidx.size < 2 * n_workers:
-            f, c, s = _solve_points(model.photon_freq_ghz, lam, omega_m[vidx])
-            freqs[vidx], fracs[vidx], stable[vidx] = f, c, s
-        else:
-            chunks = np.array_split(vidx, n_workers)
-            chunks = [ch for ch in chunks if ch.size]
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                results = list(pool.map(
-                    lambda ch: _solve_points(model.photon_freq_ghz, lam, omega_m[ch]),
-                    chunks))
-            for ch, (f, c, s) in zip(chunks, results):
-                freqs[ch], fracs[ch], stable[ch] = f, c, s
-
-    pols = tuple(
-        PolaritonSet(freqs[p], fracs[p], stable=bool(stable[p]))
-        for p in range(fields.size)
-    )
-    return BranchSet(fields, pols)
+    omega_m = np.atleast_1d(np.asarray(magnon_frequency(magnon, fields), dtype=float))
+    photons = np.broadcast_to(model.photon_freq_ghz, (fields.size, model.n_photon))
+    freqs, fracs, stable = _normal_modes(np.column_stack((photons, omega_m)),
+                                         model.coupling_matrix())
+    return BranchSet(fields, freqs, fracs, stable)
 
 
 def min_gap(branches: BranchSet, i: int, j: int) -> tuple[float, float]:
@@ -606,8 +503,7 @@ def min_gap(branches: BranchSet, i: int, j: int) -> tuple[float, float]:
     nb = branches.n_branches
     if not (0 <= i < nb and 0 <= j < nb):
         raise InvalidArgumentError(f"branch indices must be in [0, {nb})")
-    freqs = branches.branch_frequencies()
-    gaps = freqs[:, j] - freqs[:, i]
+    gaps = branches.freqs[:, j] - branches.freqs[:, i]
     ok = np.isfinite(gaps)
     if not ok.any():
         raise InvalidArgumentError("no stable sweep points to take a gap over")

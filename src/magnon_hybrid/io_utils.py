@@ -6,6 +6,8 @@ import json
 import os
 from pathlib import Path
 
+from .errors import DataError
+
 #: numeric CSV cells use 9 significant digits
 _NUM_FMT = ".9g"
 
@@ -37,16 +39,27 @@ def write_json(path, doc) -> None:
     write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def read_csv_columns(path) -> dict[str, list[str]]:
-    """Read a simple header + rows CSV into per-column string lists."""
+def read_csv_columns(path) -> tuple[dict[str, list[str]], list[int]]:
+    """Read a simple header + rows CSV into per-column string lists.
+
+    Blank lines are skipped.  Returns the columns and, for each data row, its
+    1-based line number in the file.  Raises :class:`DataError` naming the
+    lines of rows whose cell count differs from the header's.
+    """
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        return {}
-    header = [h.strip() for h in lines[0].split(",")]
+    rows = [(no, ln.split(",")) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not rows:
+        return {}, []
+    header = [h.strip() for h in rows[0][1]]
+    bad = [no for no, cells in rows[1:] if len(cells) != len(header)]
+    if bad:
+        shown = ", ".join(map(str, bad[:10]))
+        if len(bad) > 10:
+            shown += f" and {len(bad) - 10} more"
+        raise DataError(f"{path}: {'line' if len(bad) == 1 else 'lines'} {shown} "
+                        f"do not have the header's {len(header)} cells")
     cols: dict[str, list[str]] = {h: [] for h in header}
-    for ln in lines[1:]:
-        cells = ln.split(",")
+    for _, cells in rows[1:]:
         for h, c in zip(header, cells):
             cols[h].append(c.strip())
-    return cols
+    return cols, [no for no, _ in rows[1:]]

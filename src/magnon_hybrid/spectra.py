@@ -154,7 +154,7 @@ class RidgePoints:
 
 
 def synth_map(model: HybridModel, magnon: MagnonMode, fields_t, freqs_ghz, *,
-              floor_db: float = FLOOR_DB, workers: int | None = None) -> SpectralMap:
+              floor_db: float = FLOOR_DB) -> SpectralMap:
     """Synthesise a transmission map from the hybrid model.
 
     Per field column the polariton branches are computed and rendered as
@@ -166,24 +166,19 @@ def synth_map(model: HybridModel, magnon: MagnonMode, fields_t, freqs_ghz, *,
     freqs = np.atleast_1d(np.asarray(freqs_ghz, dtype=float))
     if freqs.size == 0 or (freqs.size > 1 and np.any(np.diff(freqs) <= 0.0)):
         raise InvalidArgumentError("frequency axis must be nonempty, strictly increasing")
-    branches = sweep(model, magnon, fields_t, workers=workers)
+    branches = sweep(model, magnon, fields_t)
     m = branches.field_t.size
     nb = branches.n_branches
 
-    centers = branches.branch_frequencies().copy()           # (m, nb)
-    lw_all = model.mode_linewidths_ghz
-    widths = np.full((m, nb), np.nan)
-    amps = np.full((m, nb), np.nan)
-    for p, pol in enumerate(branches.polaritons):
-        if pol.stable:
-            widths[p] = pol.fractions @ lw_all
-            amps[p] = 1.0 - pol.fractions[:, -1]
-        else:
-            k = model.n_photon
-            centers[p, :k] = model.photon_freq_ghz
-            widths[p, :k] = model.photon_linewidth_ghz
-            amps[p, :k] = 1.0
-            amps[p, k:] = 0.0
+    centers = branches.freqs.copy()                          # (m, nb)
+    widths = branches.fracs @ model.mode_linewidths_ghz      # NaN where unstable
+    amps = 1.0 - branches.fracs[:, :, -1]
+    bad = ~branches.stable
+    n_ph = model.n_photon
+    centers[bad, :n_ph] = model.photon_freq_ghz
+    widths[bad, :n_ph] = model.photon_linewidth_ghz
+    amps[bad, :n_ph] = 1.0
+    amps[bad, n_ph:] = 0.0
 
     ok = np.isfinite(centers) & (widths > 0.0) & (amps > 0.0)
     half = np.where(ok, 0.5 * widths, 1.0)
@@ -281,20 +276,23 @@ def extract_ridges(smap: SpectralMap, prominence_db: float,
 def load_ridge_csv(path) -> RidgePoints:
     """Read ridge/branch samples from a CSV with field_t and freq_ghz columns."""
     try:
-        cols = read_csv_columns(path)
-    except OSError as exc:
+        cols, lines = read_csv_columns(path)
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read data file {path}: {exc}") from exc
     if "field_t" not in cols or "freq_ghz" not in cols:
         raise DataError(f"data file {path} must have field_t and freq_ghz columns")
-    try:
-        field = np.array([float(x) for x in cols["field_t"]])
-        freq = np.array([float(x) for x in cols["freq_ghz"]])
-    except ValueError as exc:
-        raise DataError(f"malformed data file {path}: {exc}") from exc
+
+    def column(name):
+        out = np.empty(len(lines))
+        for k, cell in enumerate(cols[name]):
+            try:
+                out[k] = float(cell)
+            except ValueError:
+                raise DataError(f"malformed data file {path}, line {lines[k]}: "
+                                f"{name} {cell!r} is not a number") from None
+        return out
+
+    field, freq = column("field_t"), column("freq_ghz")
     finite = np.isfinite(field) & np.isfinite(freq)
-    prom = np.zeros(int(finite.sum()))
-    if "prominence_db" in cols:
-        with np.errstate(invalid="ignore"):
-            prom_all = np.array([float(x) for x in cols["prominence_db"]])
-        prom = prom_all[finite]
+    prom = column("prominence_db")[finite] if "prominence_db" in cols else np.zeros(finite.sum())
     return RidgePoints(field[finite], freq[finite], prom)

@@ -210,6 +210,23 @@ class TestFit:
         cfg = write_cfg(tmp_path, self.fit_cfg(data))
         assert main(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == 4
 
+    @pytest.mark.parametrize("last_row, where", [
+        ("0.45", "line 14"),                    # short row
+        ("0.45,13.1,", "line 14: prominence_db ''"),   # blank prominence cell
+    ])
+    def test_malformed_ridge_row_exit_4_no_outputs(self, tmp_path, capsys, last_row, where):
+        rows = ["field_t,freq_ghz,prominence_db"]
+        rows += [f"{0.40 + 0.01 * k:.2f},{13.0 + 0.02 * k:.2f},20.0" for k in range(12)]
+        data = tmp_path / "ridges.csv"
+        data.write_text("\n".join(rows + [last_row]) + "\n")
+        cfg = write_cfg(tmp_path, self.fit_cfg(data))
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and where in err and str(data) in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
     def test_not_converged_still_exit_0(self, tmp_path):
         doc = self.fit_cfg(DATA / "n4_ridges.csv")
         doc["fit"]["max_iter"] = 1
@@ -302,18 +319,17 @@ class TestRunReport:
 
 class TestThreadsEnv:
     def test_thread_cap_keeps_output_identical(self, tmp_path, monkeypatch):
+        # MAGNON_HYBRID_THREADS is no longer read: any value, even one that
+        # is not a number, leaves the output byte-identical
         cfg = write_cfg(tmp_path, sweep_cfg())
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
         monkeypatch.delenv("MAGNON_HYBRID_THREADS", raising=False)
-        assert main(["sweep", "--config", str(cfg), "--out", str(out1)]) == 0
-        monkeypatch.setenv("MAGNON_HYBRID_THREADS", "3")
-        assert main(["sweep", "--config", str(cfg), "--out", str(out2)]) == 0
-        assert (out1 / "branches.csv").read_bytes() == (out2 / "branches.csv").read_bytes()
-
-    def test_invalid_thread_env_exit_2(self, tmp_path, monkeypatch):
-        cfg = write_cfg(tmp_path, sweep_cfg())
-        monkeypatch.setenv("MAGNON_HYBRID_THREADS", "zero")
-        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "unset")]) == 0
+        want = (tmp_path / "unset" / "branches.csv").read_bytes()
+        for value in ("3", "zero"):
+            monkeypatch.setenv("MAGNON_HYBRID_THREADS", value)
+            out = tmp_path / value
+            assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+            assert (out / "branches.csv").read_bytes() == want
 
 
 class TestEntryPoint:

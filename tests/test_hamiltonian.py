@@ -165,29 +165,50 @@ class TestEigenFull:
         assert ps.fractions[0, -1] == pytest.approx(1.0, abs=1e-12)
         assert ps.fractions[1, -1] == pytest.approx(0.0, abs=1e-12)
 
-    def test_dynamical_fallback_agrees_with_cholesky_route(self):
-        # the near-singular fallback must reproduce the primary route on
-        # well-conditioned problems (frequencies, fractions, ordering)
-        from magnon_hybrid.hamiltonian import _dynamical_fallback, _stacks
+    def test_matches_dynamical_matrix_eigenpairs(self):
+        # independent route: the positive eigenvalues of eta @ M, with each
+        # eigenvector symplectically normalised (u.u - v.v = 1) and weighted
+        # u_i^2 + v_i^2, must give the same frequencies and fractions
         rng = np.random.default_rng(17)
-        for _ in range(10):
+        for _ in range(50):
             model = random_stable_model(rng)
             ps = eigen_full(model)
-            mmat, _, _ = _stacks(model.photon_freq_ghz, model.coupling_matrix(),
-                                 [model.magnon_freq_ghz])
-            freqs, fracs = _dynamical_fallback(mmat[0])
-            np.testing.assert_allclose(freqs, ps.frequencies_ghz, rtol=1e-9)
-            np.testing.assert_allclose(
-                np.sort(fracs, axis=None), np.sort(ps.fractions, axis=None),
-                atol=1e-8)
+            n = model.n_modes
+            evals, evecs = np.linalg.eig(dynamical_matrix(model))
+            assert np.abs(evals.imag).max() < 1e-8 * np.abs(evals).max()
+            pos = np.argsort(evals.real)[n:]
+            np.testing.assert_allclose(evals.real[pos], ps.frequencies_ghz, rtol=1e-9)
+            vecs = evecs[:, pos].real
+            vecs = vecs / np.sqrt(np.sum(vecs[:n] ** 2 - vecs[n:] ** 2, axis=0))
+            wgt = (vecs[:n] ** 2 + vecs[n:] ** 2).T
+            np.testing.assert_allclose(ps.fractions, wgt / wgt.sum(axis=1, keepdims=True),
+                                       atol=1e-8)
+            assert np.all(ps.fractions >= 0.0)
+            np.testing.assert_allclose(ps.fractions.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_dynamical_fallback_flags_unstable(self):
-        from magnon_hybrid.hamiltonian import _dynamical_fallback, _stacks
+    def test_unstable_form_has_complex_dynamical_spectrum(self):
         model = two_mode(13.65, 0.5, 1.84)
-        mmat, _, _ = _stacks(model.photon_freq_ghz, model.coupling_matrix(),
-                             [model.magnon_freq_ghz])
+        evals = np.linalg.eigvals(dynamical_matrix(model))
+        assert np.abs(evals.imag).max() > 1e-3
         with pytest.raises(InstabilityError):
-            _dynamical_fallback(mmat[0])
+            eigen_full(model)
+
+    def test_stability_mask_across_two_mode_boundary(self):
+        # omega_c * omega_m = 4 g^2 at omega_m = 0.992 GHz (field 0.0354 T);
+        # the grid also steps 0.1 % and 0.01 % to either side of it
+        wc, g = 13.65, 1.84
+        model = two_mode(wc, 12.0, g)
+        edge = 4.0 * g * g / wc / 28.0
+        near = edge * (1.0 + np.array([-1e-3, -1e-4, 1e-4, 1e-3]))
+        fields = np.sort(np.concatenate([np.linspace(0.01, 0.2, 400), near]))
+        br = sweep(model, MagnonMode(28.0, 0.0, 0.0), fields)
+        omega_m = 28.0 * fields
+        vmin = np.array([np.linalg.eigvalsh([[wc, 2 * g], [2 * g, w]])[0] for w in omega_m])
+        np.testing.assert_array_equal(br.stable_mask, vmin > 0.0)
+        assert (~br.stable_mask).sum() > 0 and br.stable_mask.sum() > 0
+        for p in np.nonzero(br.stable_mask)[0]:
+            np.testing.assert_allclose(br.branch_frequencies()[p],
+                                       two_mode_exact(wc, omega_m[p], g), rtol=1e-10)
 
 
 class TestEigenRwa:
@@ -266,7 +287,8 @@ class TestSweep:
     def test_branch_count_everywhere(self):
         br = self.doublet_sweep()
         assert br.n_branches == 3
-        assert all(p.n_branches == 3 for p in br.polaritons)
+        assert br.branch_frequencies().shape == (101, 3)
+        assert br.magnon_fractions().shape == (101, 3)
         assert br.stable_mask.all()
 
     def test_uncoupled_branch_stays_flat(self):
@@ -291,7 +313,7 @@ class TestSweep:
         br = sweep(model, mag, fields)
         mask = br.stable_mask
         assert (~mask).sum() > 0 and mask.sum() > 0
-        assert len(br.polaritons) == fields.size
+        assert br.branch_frequencies().shape == (fields.size, 3)
         unstable = br.branch_frequencies()[~mask]
         assert np.isnan(unstable).all()
         # stability boundary is near the two-mode estimate 4 g^2 / (omega_c gyro)
@@ -302,16 +324,63 @@ class TestSweep:
         model = build_n4(13.65, 0.155, 1.84, 12.0)
         mag = MagnonMode(28.0, 0.5, 0.0)
         br = sweep(model, mag, np.array([0.5, 0.7]))
-        assert not br.polaritons[0].stable
-        assert br.polaritons[1].stable
+        np.testing.assert_array_equal(br.stable_mask, [False, True])
+        assert np.isnan(br.branch_frequencies()[0]).all()
+        assert np.isnan(br.magnon_fractions()[0]).all()
 
-    def test_workers_do_not_change_results(self):
-        model = build_n4(13.65, 0.155, 1.84, 12.0)
-        mag = MagnonMode(28.0, 0.0, 0.001)
-        fields = np.linspace(0.3, 0.6, 37)
-        a = sweep(model, mag, fields, workers=1).branch_frequencies()
-        b = sweep(model, mag, fields, workers=4).branch_frequencies()
-        np.testing.assert_array_equal(a, b)
+    @staticmethod
+    def per_point_tiebreak(freqs, fracs):
+        """The per-point rule the vectorised tie-break replaced, as a reference."""
+        n = freqs.shape[0]
+        i = 0
+        while i < n - 1:
+            j = i + 1
+            while j < n and freqs[j] - freqs[i] <= 1e-9 * max(abs(freqs[j]), 1e-300):
+                j += 1
+            if j - i > 1:
+                order = np.argsort(-fracs[i:j, -1], kind="stable")
+                freqs[i:j] = freqs[i:j][order]
+                fracs[i:j] = fracs[i:j][order]
+            i = j
+
+    def test_vectorised_tiebreak_matches_per_point_rule(self):
+        from magnon_hybrid.hamiltonian import _tiebreak
+        # ring-8 frequencies with bit-identical doublets; with the magnon on
+        # the two singlets the doublets tie at every field, and with no
+        # coupling the magnon line also meets each doublet exactly
+        ring = np.sqrt(13.0 ** 2 - 2.0 * 16.9 * np.cos(2 * np.pi * np.arange(5) / 8))
+        photons = np.concatenate([ring, ring[1:4]])
+        crossings = ring[1:4] / 28.0
+        fields = np.sort(np.concatenate([np.linspace(0.35, 0.58, 200), crossings]))
+        rng = np.random.default_rng(23)
+        for g in (np.array([0.4, 0, 0, 0, 0.3, 0, 0, 0]), np.zeros(8)):
+            model = HybridModel(photon_freq_ghz=photons, photon_coupling_ghz=np.zeros((8, 8)),
+                                magnon_freq_ghz=1.0, magnon_coupling_ghz=g,
+                                photon_linewidth_ghz=np.zeros(8))
+            br = sweep(model, MagnonMode(28.0, 0.0, 0.0), fields)
+            freqs, fracs = br.branch_frequencies().copy(), br.fracs.copy()
+            # scramble each tie group, then sort it back both ways
+            for p in range(fields.size):
+                tied = np.abs(freqs[p][:, None] - freqs[p][None, :]) <= 1e-9 * freqs[p].max()
+                perm = np.arange(9)
+                for grp in {tuple(np.nonzero(row)[0]) for row in tied}:
+                    perm[list(grp)] = rng.permutation(grp)
+                freqs[p], fracs[p] = freqs[p][perm], fracs[p][perm]
+            want_f, want_c = freqs.copy(), fracs.copy()
+            for p in range(fields.size):
+                self.per_point_tiebreak(want_f[p], want_c[p])
+            _tiebreak(freqs, fracs)
+            np.testing.assert_array_equal(freqs, want_f)
+            np.testing.assert_array_equal(fracs, want_c)
+            # the doublets tie at every field
+            gaps = np.diff(br.branch_frequencies(), axis=1)
+            assert (gaps <= 1e-9 * photons.max()).sum() >= 3 * fields.size
+        # decoupled: where the magnon meets a doublet it comes first of the three
+        mf = br.magnon_fractions()
+        for b, w in zip(crossings, ring[1:4]):
+            p = int(np.argmin(np.abs(fields - b)))
+            k = int(np.argmin(np.abs(br.branch_frequencies()[p] - w)))
+            np.testing.assert_array_equal(mf[p, k:k + 3], [1.0, 0.0, 0.0])
 
     def test_grid_validation(self):
         model = build_n4(13.65, 0.155, 1.84, 12.0)
@@ -365,10 +434,13 @@ class TestMinGap:
 
 class TestTypes:
     def test_branchset_needs_consistent_counts(self):
-        ps2 = eigen_full(two_mode())
-        ps3 = eigen_full(build_n4(13.65, 0.1, 1.0, 12.0))
-        with pytest.raises(InvalidArgumentError):
-            BranchSet(np.array([0.1, 0.2]), (ps2, ps3))
+        field = np.array([0.1, 0.2])
+        freqs, fracs, stable = np.ones((2, 3)), np.ones((2, 3, 3)), np.ones(2, dtype=bool)
+        BranchSet(field, freqs, fracs, stable)
+        for bad in ((np.ones((2, 2)), fracs, stable), (freqs, np.ones((2, 3, 2)), stable),
+                    (freqs, fracs, np.ones(3, dtype=bool)), (np.ones((3, 3)), fracs, stable)):
+            with pytest.raises(InvalidArgumentError):
+                BranchSet(field, *bad)
 
     def test_model_invariants(self):
         with pytest.raises(InvalidArgumentError):
