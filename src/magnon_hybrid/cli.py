@@ -45,7 +45,7 @@ from .hamiltonian import sweep
 from .io_utils import write_json, write_rows, write_text_atomic
 from .magnon import estimate_coupling, estimate_filling
 from .network import solve_modes, wgm_order
-from .spectra import FLOOR_DB, load_ridge_csv, synth_map
+from .spectra import FLOOR_DB, SpectralMap, load_ridge_csv, synth_map
 from .svgplot import HeatBackground, Series, render_chart
 
 def cmd_modes(cfg: dict, outdir: Path) -> list[Path]:
@@ -84,21 +84,21 @@ def cmd_sweep(cfg: dict, outdir: Path) -> list[Path]:
     check_schema_version(cfg)
     check_keys(cfg, {"schema_version", "model", "magnon", "sweep", "plot"}, "")
     model, _, magnon, fields = _sweep_from_cfg(cfg)
+    background = None
+    plot_cfg = cfg.get("plot", {})
+    check_keys(plot_cfg, {"background_map"}, "plot")
+    if "background_map" in plot_cfg:
+        if not isinstance(plot_cfg["background_map"], str):
+            raise ConfigError("plot.background_map must be a file path")
+        smap = SpectralMap.from_csv(plot_cfg["background_map"])
+        background = HeatBackground(x=smap.field_t, y=smap.freq_ghz,
+                                    values=smap.magnitude_db)
     branches = sweep(model, magnon, fields)
     if not branches.stable_mask.any():
         raise AllUnstableError("every sweep point is Bogoliubov-unstable")
 
     csv_path = outdir / "branches.csv"
     branches.to_csv(csv_path)
-
-    background = None
-    plot_cfg = cfg.get("plot", {})
-    check_keys(plot_cfg, {"background_map"}, "plot")
-    if "background_map" in plot_cfg:
-        from .spectra import SpectralMap
-        smap = SpectralMap.from_csv(plot_cfg["background_map"])
-        background = HeatBackground(x=smap.field_t, y=smap.freq_ghz,
-                                    values=smap.magnitude_db)
     freqs = branches.branch_frequencies()
     series = [Series(x=branches.field_t, y=freqs[:, k], label=f"branch {k}",
                      css_class="branch")
@@ -126,7 +126,6 @@ def cmd_synth(cfg: dict, outdir: Path) -> list[Path]:
         noisy = np.maximum(
             smap.magnitude_db + rng.normal(0.0, sigma, smap.magnitude_db.shape),
             FLOOR_DB)
-        from .spectra import SpectralMap
         smap = SpectralMap(smap.field_t, smap.freq_ghz, noisy)
     csv_path = outdir / "map.csv"
     smap.to_csv(csv_path)
@@ -180,8 +179,16 @@ def cmd_fit(cfg: dict, outdir: Path) -> list[Path]:
         pair = val if isinstance(val, list) and len(val) == 2 else None
         if pair is None:
             raise ConfigError(f"fit.bounds.{key} must be [lo, hi]")
-        bounds[key] = (float(pair[0]), float(pair[1]))
+        bounds[key] = (as_number(pair[0], f"fit.bounds.{key}[0]"),
+                       as_number(pair[1], f"fit.bounds.{key}[1]"))
     max_iter = as_integer(fit_cfg.get("max_iter", 500), "fit.max_iter", minimum=1)
+    cls_cfg = cfg.get("classify", {})
+    check_keys(cls_cfg, {"fsr_ghz", "ultrastrong_threshold"}, "classify")
+    threshold = as_number(cls_cfg.get("ultrastrong_threshold", 0.1),
+                        "classify.ultrastrong_threshold", positive=True)
+    fsr = cls_cfg.get("fsr_ghz")
+    if fsr is not None:
+        fsr = as_number(fsr, "classify.fsr_ghz", positive=True)
 
     points = load_ridge_csv(require_key(data_cfg, "path", "data"))
     if len(points) < 2 * len(free):
@@ -200,17 +207,10 @@ def cmd_fit(cfg: dict, outdir: Path) -> list[Path]:
     write_json(fit_path, result.to_dict())
 
     fitted_model, fitted_magnon = _fit_model(problem, result)
-    cls_cfg = cfg.get("classify", {})
-    check_keys(cls_cfg, {"fsr_ghz", "ultrastrong_threshold"}, "classify")
-    threshold = as_number(cls_cfg.get("ultrastrong_threshold", 0.1),
-                        "classify.ultrastrong_threshold", positive=True)
-    fsr = cls_cfg.get("fsr_ghz")
     if fsr is None:
         fsr_per_mode = photon_mode_spacing(fitted_model)
-        fsr_arg = [None if not np.isfinite(v) else float(v) for v in fsr_per_mode]
-        fsr_arg = fsr_arg if all(v is not None for v in fsr_arg) else None
-    else:
-        fsr_arg = as_number(fsr, "classify.fsr_ghz", positive=True)
+        if np.all(np.isfinite(fsr_per_mode)):
+            fsr = [float(v) for v in fsr_per_mode]
     # three-mode couplings are conventionally quoted over pi, i.e. at twice
     # the ordinary-frequency value the model carries; the classifier then
     # reports that quote both at face value and halved
@@ -218,7 +218,7 @@ def cmd_fit(cfg: dict, outdir: Path) -> list[Path]:
     report = classify(
         quote_factor * np.abs(fitted_model.magnon_coupling_ghz),
         fitted_model.photon_freq_ghz,
-        fsr_arg, magnon_linewidth_ghz=fitted_magnon.linewidth_ghz,
+        fsr, magnon_linewidth_ghz=fitted_magnon.linewidth_ghz,
         photon_linewidth_ghz=fitted_model.photon_linewidth_ghz,
         ultrastrong_threshold=threshold)
     doc = report.to_dict()

@@ -26,7 +26,7 @@ def load_config(path, overrides=()) -> dict:
     """Parse a JSON config file and apply dotted-path --set overrides."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -46,9 +46,12 @@ def load_config(path, overrides=()) -> dict:
             value = raw
         node = doc
         parts = key.split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
+        for depth, part in enumerate(parts[:-1]):
+            if part not in node:
                 node[part] = {}
+            elif not isinstance(node[part], dict):
+                raise ConfigError(f"--set {key}: {'.'.join(parts[:depth + 1])} "
+                                  f"is not an object")
             node = node[part]
         node[parts[-1]] = value
     return doc
@@ -62,6 +65,8 @@ def require_key(doc: dict, key: str, path: str):
 
 
 def check_keys(doc: dict, allowed, path: str):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} must be an object")
     for key in doc:
         if key not in allowed:
             where = f"{path}.{key}" if path else key
@@ -146,8 +151,6 @@ def parse_network(doc: dict, path: str = "network") -> CavityNetwork:
 
 
 def parse_magnon(doc: dict, path: str = "magnon") -> MagnonMode:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must be an object")
     check_keys(doc, {"gyro_ghz_per_t", "field_offset_t", "linewidth_ghz"}, path)
     gyro = as_number(require_key(doc, "gyro_ghz_per_t", path),
                                  f"{path}.gyro_ghz_per_t", positive=True)
@@ -220,8 +223,6 @@ def parse_model(doc: dict, magnon: MagnonMode, path: str = "model") -> tuple[Hyb
 
 
 def parse_field_grid(doc: dict, path: str = "sweep") -> np.ndarray:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must be an object")
     check_keys(doc, {"field_min_t", "field_max_t", "n_field"}, path)
     lo = as_number(require_key(doc, "field_min_t", path), f"{path}.field_min_t")
     hi = as_number(require_key(doc, "field_max_t", path), f"{path}.field_max_t")
@@ -232,8 +233,6 @@ def parse_field_grid(doc: dict, path: str = "sweep") -> np.ndarray:
 
 
 def parse_freq_grid(doc: dict, path: str = "freq") -> np.ndarray:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must be an object")
     check_keys(doc, {"min_ghz", "max_ghz", "n"}, path)
     lo = as_number(require_key(doc, "min_ghz", path), f"{path}.min_ghz")
     hi = as_number(require_key(doc, "max_ghz", path), f"{path}.max_ghz")
@@ -244,8 +243,6 @@ def parse_freq_grid(doc: dict, path: str = "freq") -> np.ndarray:
 
 
 def parse_material(doc: dict, path: str = "material") -> tuple[SpinEnsemble, MagnonMode]:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must be an object")
     check_keys(doc, {"gyro_ghz_per_t", "field_offset_t", "linewidth_ghz",
                       "spin_density_per_m3", "spin_quantum", "filling_factor"}, path)
     gyro = as_number(require_key(doc, "gyro_ghz_per_t", path), f"{path}.gyro_ghz_per_t",

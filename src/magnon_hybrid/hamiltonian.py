@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.sparse.linalg import eigsh
 
 from .errors import (
     InstabilityError,
@@ -407,6 +405,9 @@ def fock_oracle(model: HybridModel, n_max: int) -> np.ndarray:
     Returns the N+1 transition energies sorted ascending, converging to
     ``eigen_full(model).frequencies_ghz`` as n_max grows.
     """
+    import scipy.sparse as sparse
+    from scipy.sparse.linalg import eigsh
+
     if n_max < 4:
         raise InvalidArgumentError("n_max must be at least 4")
     n_modes = model.n_modes

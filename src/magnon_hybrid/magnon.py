@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar, mu_0
 
 from .errors import InvalidArgumentError
 
@@ -82,6 +81,8 @@ def _angular(ghz: float) -> float:
 def estimate_coupling(ensemble: SpinEnsemble, cavity_freq_ghz: float,
                       gyro_ghz_per_t: float = GYRO_DEFAULT_GHZ_PER_T) -> float:
     """Collective coupling (GHz) of the ensemble to one cavity mode."""
+    from scipy.constants import hbar, mu_0
+
     if cavity_freq_ghz <= 0.0:
         raise InvalidArgumentError("cavity frequency must be positive")
     if gyro_ghz_per_t <= 0.0:
@@ -98,6 +99,8 @@ def estimate_filling(g_ghz: float, ensemble: SpinEnsemble, cavity_freq_ghz: floa
                      gyro_ghz_per_t: float = GYRO_DEFAULT_GHZ_PER_T) -> float:
     """Filling factor implied by a measured coupling; inverse of
     :func:`estimate_coupling` (the ensemble's own ``filling_factor`` is ignored)."""
+    from scipy.constants import hbar, mu_0
+
     if g_ghz <= 0.0:
         raise InvalidArgumentError("coupling must be positive")
     if cavity_freq_ghz <= 0.0:

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
-from scipy.signal import find_peaks
 
 from .errors import (
     DataError,
@@ -92,7 +90,7 @@ class SpectralMap:
         from pathlib import Path
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read map file {path}: {exc}") from exc
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if len(lines) < 2:
@@ -208,6 +206,8 @@ def fit_line(freq_ghz, magnitude_db, center_ghz: float, window_ghz: float):
     around ``center_ghz`` must hold at least 7 samples and an interior local
     maximum, otherwise :class:`InvalidArgumentError` / :class:`NoPeakError`.
     """
+    from scipy.optimize import curve_fit
+
     f = np.asarray(freq_ghz, dtype=float)
     y = np.asarray(magnitude_db, dtype=float)
     mask = np.abs(f - center_ghz) <= 0.5 * window_ghz
@@ -249,6 +249,8 @@ def extract_ridges(smap: SpectralMap, prominence_db: float,
     prominence first); positions are refined by a 3-point parabola through
     the dB values.  An empty result is valid.
     """
+    from scipy.signal import find_peaks
+
     if max_peaks_per_column < 1:
         raise InvalidArgumentError("max_peaks_per_column must be at least 1")
     fields, freqs, prom = [], [], []

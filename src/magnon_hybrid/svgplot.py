@@ -25,11 +25,13 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
         return [lo]
     raw = (hi - lo) / max(target, 2)
     mag = 10.0 ** np.floor(np.log10(raw))
+    # the 1e-9 slacks keep the step and the first tick from flipping when an
+    # axis span or end that sits on a tick boundary moves by its last bit
     for mult in (1.0, 2.0, 5.0, 10.0):
-        if raw <= mult * mag:
+        if raw <= mult * mag * (1.0 + 1e-9):
             step = mult * mag
             break
-    first = np.ceil(lo / step) * step
+    first = np.ceil(lo / step - 1e-9) * step
     ticks = []
     t = first
     while t <= hi + 1e-9 * step:

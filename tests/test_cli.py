@@ -9,6 +9,7 @@ import pytest
 
 from magnon_hybrid import SpectralMap, extract_ridges, load_ridge_csv
 from magnon_hybrid.cli import main
+from magnon_hybrid.config import load_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -121,6 +122,28 @@ class TestSweep:
         path = write_cfg(tmp_path, cfg)
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("content", [
+        b"field_t,13.0,13.1\n0.40,-20.0,oops\n0.41,-21.0,-22.0\n",   # non-number cell
+        b"field_t,13.0,13.1\n0.40,-20.0,-21.0\xff\n",                # not UTF-8
+    ], ids=["non_number", "non_utf8"])
+    def test_bad_background_map_exit_4_no_outputs(self, tmp_path, capsys, content):
+        bad_map = tmp_path / "map.csv"
+        bad_map.write_bytes(content)
+        cfg = write_cfg(tmp_path, sweep_cfg(plot={"background_map": str(bad_map)}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(bad_map) in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("plot", [[], {"background_map": 3}, {"colour": "red"}])
+    def test_bad_plot_block_exit_2_no_outputs(self, tmp_path, plot):
+        cfg = write_cfg(tmp_path, sweep_cfg(plot=plot))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert list(out.iterdir()) == []
+
 
 class TestSynth:
     def synth_cfg(self):
@@ -227,6 +250,22 @@ class TestFit:
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("block, value", [
+        ("classify", {"ultrastrong_threshold": -1}),
+        ("classify", {"fsr_ghz": "wide"}),
+        ("fit", {"bounds": {"g": ["low", 6.0]}}),
+    ])
+    def test_bad_fit_or_classify_block_exit_2_no_outputs(self, tmp_path, capsys,
+                                                          block, value):
+        doc = self.fit_cfg(DATA / "n4_ridges.csv")
+        doc[block] = value
+        cfg = write_cfg(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {block}.")
+        assert list(out.iterdir()) == []
+
     def test_not_converged_still_exit_0(self, tmp_path):
         doc = self.fit_cfg(DATA / "n4_ridges.csv")
         doc["fit"]["max_iter"] = 1
@@ -315,6 +354,54 @@ class TestRunReport:
         assert report["config"]["sweep"]["n_field"] == 11
         rows = (tmp_path / "branches.csv").read_text().splitlines()[1:]
         assert len(rows) == 11 * 3
+
+
+class TestConfigErrors:
+    def test_non_utf8_config_exit_2_no_outputs(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes(b'{"schema_version": 1, "note": "\xff"}\n')
+        out = tmp_path / "out"
+        assert main(["modes", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(cfg) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_set_creates_missing_keys(self, tmp_path):
+        cfg = write_cfg(tmp_path, sweep_cfg())
+        doc = load_config(cfg, ["plot.extra.depth=2", "sweep.n_field=5"])
+        assert doc["plot"] == {"extra": {"depth": 2}}
+        assert doc["sweep"]["n_field"] == 5
+
+    @pytest.mark.parametrize("item, part", [
+        ("model.omega_c_ghz.x=1", "model.omega_c_ghz"),
+        ("schema_version.a.b=1", "schema_version"),
+        ("model.photon_linewidth_ghz.0=1", "model.photon_linewidth_ghz"),
+    ])
+    def test_set_through_non_object_exit_2(self, tmp_path, capsys, item, part):
+        cfg = write_cfg(tmp_path, sweep_cfg())
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--set", item,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"{part} is not an object" in err and item.split("=")[0] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config, block", [
+        ("synth", "synth_n4.json", "noise"),
+        ("fit", "fit_n4.json", "fit"),
+        ("fit", "fit_n4.json", "classify"),
+        ("estimate", "estimate_yig.json", "estimate"),
+        ("sweep", "sweep_n4.json", "magnon"),
+    ])
+    def test_block_not_an_object_exit_2(self, tmp_path, capsys, command, config, block):
+        out = tmp_path / "out"
+        assert main([command, "--config", str(CONFIGS / config), "--set", f"{block}=[1]",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {block} must be an object\n"
+        assert list(out.iterdir()) == []
 
 
 class TestThreadsEnv:
