@@ -22,6 +22,7 @@ from . import __version__
 from .config import (
     as_integer,
     as_number,
+    as_path,
     check_keys,
     check_schema_version,
     load_config,
@@ -40,7 +41,7 @@ from .errors import (
     InvalidArgumentError,
     NonPhysicalError,
 )
-from .fitting import FitProblem, classify, fit, photon_mode_spacing, _residuals
+from .fitting import FitProblem, classify, fit, photon_mode_spacing, _param_names, _residuals
 from .hamiltonian import sweep
 from .io_utils import write_json, write_rows, write_text_atomic
 from .magnon import estimate_coupling, estimate_filling
@@ -88,9 +89,8 @@ def cmd_sweep(cfg: dict, outdir: Path) -> list[Path]:
     plot_cfg = cfg.get("plot", {})
     check_keys(plot_cfg, {"background_map"}, "plot")
     if "background_map" in plot_cfg:
-        if not isinstance(plot_cfg["background_map"], str):
-            raise ConfigError("plot.background_map must be a file path")
-        smap = SpectralMap.from_csv(plot_cfg["background_map"])
+        smap = SpectralMap.from_csv(as_path(plot_cfg["background_map"],
+                                            "plot.background_map"))
         background = HeatBackground(x=smap.field_t, y=smap.freq_ghz,
                                     values=smap.magnitude_db)
     branches = sweep(model, magnon, fields)
@@ -162,20 +162,29 @@ def cmd_fit(cfg: dict, outdir: Path) -> list[Path]:
     check_keys(cfg, {"schema_version", "data", "model", "magnon", "fit", "classify"}, "")
     data_cfg = require_key(cfg, "data", "")
     check_keys(data_cfg, {"path"}, "data")
+    data_path = as_path(require_key(data_cfg, "path", "data"), "data.path")
     magnon = parse_magnon(require_key(cfg, "magnon", ""))
     model, kind = parse_model(require_key(cfg, "model", ""), magnon)
 
     fit_cfg = cfg.get("fit", {})
     check_keys(fit_cfg, {"free", "bounds", "initial", "max_iter"}, "fit")
-    free = tuple(fit_cfg.get("free", _FIT_DEFAULT_FREE.get(kind, ())))
+    free = fit_cfg.get("free", list(_FIT_DEFAULT_FREE.get(kind, ())))
+    if not isinstance(free, list) or not all(isinstance(name, str) for name in free):
+        raise ConfigError("fit.free must be a list of parameter names")
     if not free:
         raise ConfigError("fit.free must name at least one parameter")
+    free = tuple(free)
+    names = _param_names(kind, model.n_photon)
+    initial_cfg = fit_cfg.get("initial", {})
+    check_keys(initial_cfg, names, "fit.initial")
+    bounds_cfg = fit_cfg.get("bounds", {})
+    check_keys(bounds_cfg, names, "fit.bounds")
     initial = _fit_initial_from_model(kind, model)
     initial.update({"gyro": magnon.gyro_ghz_per_t, "field_offset": magnon.field_offset_t})
-    for key, val in fit_cfg.get("initial", {}).items():
+    for key, val in initial_cfg.items():
         initial[key] = as_number(val, f"fit.initial.{key}")
     bounds = {}
-    for key, val in fit_cfg.get("bounds", {}).items():
+    for key, val in bounds_cfg.items():
         pair = val if isinstance(val, list) and len(val) == 2 else None
         if pair is None:
             raise ConfigError(f"fit.bounds.{key} must be [lo, hi]")
@@ -190,7 +199,7 @@ def cmd_fit(cfg: dict, outdir: Path) -> list[Path]:
     if fsr is not None:
         fsr = as_number(fsr, "classify.fsr_ghz", positive=True)
 
-    points = load_ridge_csv(require_key(data_cfg, "path", "data"))
+    points = load_ridge_csv(data_path)
     if len(points) < 2 * len(free):
         raise DataError(
             f"insufficient data: {len(points)} points for {len(free)} free parameters "
@@ -227,10 +236,9 @@ def cmd_fit(cfg: dict, outdir: Path) -> list[Path]:
     write_json(regime_path, doc)
 
     theta = np.array([result.params[name] for name in problem.free])
-    residuals = _residuals(problem, theta)
+    solved = _residuals(problem, theta)
     svg_path = outdir / "residuals.svg"
-    if residuals is None:
-        residuals = np.full(problem.field_t.shape, np.nan)
+    residuals = np.full(problem.field_t.shape, np.nan) if solved is None else solved[0]
     write_text_atomic(svg_path, render_chart(
         series=[Series(x=problem.field_t, y=residuals, marker=True,
                        css_class="residual", label="data - model")],

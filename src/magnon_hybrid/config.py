@@ -8,6 +8,7 @@ validation so they obey the same schema.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -73,9 +74,19 @@ def check_keys(doc: dict, allowed, path: str):
             raise ConfigError(f"unknown key {where}")
 
 
+def _finite(value) -> bool:
+    """Whether a number converts to a finite float (an int past 1e308 does not)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def as_number(value, path: str, *, positive=False, nonnegative=False) -> float:
     if not isinstance(value, _NUMBER) or isinstance(value, bool):
         raise ConfigError(f"{path} must be a number")
+    if not _finite(value):
+        raise ConfigError(f"{path} must be finite")
     v = float(value)
     if positive and v <= 0.0:
         raise ConfigError(f"{path} must be positive")
@@ -92,13 +103,27 @@ def as_integer(value, path: str, *, minimum=None) -> int:
     return value
 
 
+def as_path(value, path: str) -> str:
+    if not isinstance(value, str) or not value or "\x00" in value:
+        raise ConfigError(f"{path} must be a file path")
+    return value
+
+
 def as_number_list(value, path: str, length=None) -> list[float]:
     if not isinstance(value, list) or not all(
             isinstance(v, _NUMBER) and not isinstance(v, bool) for v in value):
         raise ConfigError(f"{path} must be a list of numbers")
     if length is not None and len(value) != length:
         raise ConfigError(f"{path} must have length {length}")
+    if not all(map(_finite, value)):
+        raise ConfigError(f"{path} must be finite")
     return [float(v) for v in value]
+
+
+def as_number_matrix(value, path: str, n: int) -> list[list[float]]:
+    if not isinstance(value, list) or len(value) != n:
+        raise ConfigError(f"{path} must be a {n}x{n} matrix (list of lists)")
+    return [as_number_list(row, f"{path}[{i}]", length=n) for i, row in enumerate(value)]
 
 
 def check_schema_version(doc: dict):
@@ -138,10 +163,7 @@ def parse_network(doc: dict, path: str = "network") -> CavityNetwork:
         n = as_integer(require_key(doc, "n_posts", path), f"{path}.n_posts", minimum=1)
         freq = as_number_list(require_key(doc, "post_freq_ghz", path),
                                           f"{path}.post_freq_ghz", length=n)
-        coupling = require_key(doc, "coupling", path)
-        if (not isinstance(coupling, list)
-                or any(not isinstance(r, list) for r in coupling)):
-            raise ConfigError(f"{path}.coupling must be a matrix (list of lists)")
+        coupling = as_number_matrix(require_key(doc, "coupling", path), f"{path}.coupling", n)
         return CavityNetwork.from_dict(
             {"n_posts": n, "post_freq_ghz": freq, "coupling": coupling})
     except ConfigError:
@@ -206,8 +228,9 @@ def parse_model(doc: dict, magnon: MagnonMode, path: str = "model") -> tuple[Hyb
                                 f"{path}.photon_linewidth_ghz", length=n)
             model = HybridModel(
                 photon_freq_ghz=np.asarray(freqs),
-                photon_coupling_ghz=np.asarray(
-                    require_key(doc, "photon_coupling_ghz", path), dtype=float),
+                photon_coupling_ghz=np.asarray(as_number_matrix(
+                    require_key(doc, "photon_coupling_ghz", path),
+                    f"{path}.photon_coupling_ghz", n)),
                 magnon_freq_ghz=_TEMPLATE_OMEGA_M,
                 magnon_coupling_ghz=np.asarray(
                     as_number_list(require_key(doc, "magnon_coupling_ghz", path),

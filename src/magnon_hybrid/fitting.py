@@ -3,9 +3,15 @@
 The fit minimises sum_k min_branch |f_k - branch(B_k)|^2: every data point
 is re-assigned to its nearest model branch at each iteration, so unlabeled
 ridge data can be fitted directly.  The optimiser is a small
-Levenberg-Marquardt loop with a central-difference Jacobian; trial steps
-that land on a Bogoliubov-unstable model are rejected outright (treated as
-infinite cost) instead of crashing the iteration.
+Levenberg-Marquardt loop.  Its Jacobian is analytic: the branches are the
+eigenpairs of the position-space matrix S of :mod:`~magnon_hybrid.hamiltonian`,
+so Hellmann-Feynman gives every branch derivative from the eigenvectors of
+the solve that produced the residuals, and an iteration costs only its trial
+solves.  Where a picked branch is degenerate with a neighbour the derivative
+is not defined; that Jacobian is taken by central differences instead and
+counted in :attr:`FitResult.fd_jacobians`.  Trial steps that land on a
+Bogoliubov-unstable model are rejected outright (treated as infinite cost)
+instead of crashing the iteration.
 
 Regime flags follow the usual comparisons: strong means the coupling beats
 both loss rates, ultrastrong means g/omega exceeds a threshold (0.1 by
@@ -30,16 +36,42 @@ MODEL_KINDS = ("n4", "n8", "generic")
 _MAGNON_PARAMS = ("gyro", "field_offset")
 
 
-def _param_names(kind: str, n_photon: int) -> tuple[str, ...]:
+#: photon-mode count each fixed-layout model kind needs in its template
+_KIND_PHOTONS = {"n4": 2, "n8": 3}
+
+#: relative gap to a neighbouring branch below which a picked branch counts as
+#: degenerate: there the eigenvector roundoff in the analytic slope (about
+#: machine epsilon over the gap, 1e-10 at 1e-6) reaches the error of the
+#: central differences, and at an exact tie the slope depends on an arbitrary
+#: basis of the degenerate pair
+_DEGENERATE_RTOL = 1e-6
+
+
+def _param_routes(kind: str, n_photon: int) -> dict:
+    """Where each model parameter sits in the bare-mode description.
+
+    Maps every parameter name except gyro and field_offset to
+    (rows, pairs): the bare frequencies it sets (mode indices, magnon last at
+    ``n_photon``) and the symmetric coupling pairs (i, j) it sets, laid out
+    as :meth:`HybridModel.coupling_matrix`.  The magnon parameters act
+    through omega_m = gyro * (B - field_offset) instead.
+    """
+    n = n_photon
     if kind == "n4":
-        return ("omega_c", "g_rl", "g") + _MAGNON_PARAMS
+        return {"omega_c": ((0, 1), ()), "g_rl": ((), ((0, 1),)), "g": ((), ((0, n),))}
     if kind == "n8":
-        return ("omega_c1", "omega_c2", "omega_c3", "g1", "g2", "g3") + _MAGNON_PARAMS
-    names = [f"photon_freq_{i}" for i in range(n_photon)]
-    names += [f"photon_coupling_{i}_{j}" for i in range(n_photon)
-              for j in range(i + 1, n_photon)]
-    names += [f"magnon_coupling_{i}" for i in range(n_photon)]
-    return tuple(names) + _MAGNON_PARAMS
+        routes = {f"omega_c{i + 1}": ((i,), ()) for i in range(3)}
+        routes.update({f"g{i + 1}": ((), ((i, n),)) for i in range(3)})
+        return routes
+    routes = {f"photon_freq_{i}": ((i,), ()) for i in range(n)}
+    routes.update({f"photon_coupling_{i}_{j}": ((), ((i, j),))
+                   for i in range(n) for j in range(i + 1, n)})
+    routes.update({f"magnon_coupling_{i}": ((), ((i, n),)) for i in range(n)})
+    return routes
+
+
+def _param_names(kind: str, n_photon: int) -> tuple[str, ...]:
+    return tuple(_param_routes(kind, n_photon)) + _MAGNON_PARAMS
 
 
 @dataclass
@@ -71,8 +103,17 @@ class FitProblem:
             raise InvalidArgumentError("field and frequency data must have equal length")
         if self.model_kind not in MODEL_KINDS:
             raise InvalidArgumentError(f"model_kind must be one of {MODEL_KINDS}")
-        valid = set(_param_names(self.model_kind, self.template.n_photon))
+        n_photon = _KIND_PHOTONS.get(self.model_kind, self.template.n_photon)
+        if self.template.n_photon != n_photon:
+            raise InvalidArgumentError(
+                f"a {self.model_kind!r} fit needs a template with {n_photon} photon modes")
+        valid = set(_param_names(self.model_kind, n_photon))
         self.free = tuple(self.free)
+        if len(set(self.free)) != len(self.free):
+            raise InvalidArgumentError("free parameters must not repeat")
+        for name, value in self.initial.items():
+            if not np.isfinite(value):
+                raise InvalidArgumentError(f"initial value of {name!r} must be finite")
         for name in self.free:
             if name not in valid:
                 raise InvalidArgumentError(
@@ -140,6 +181,9 @@ class FitResult:
     covariance: np.ndarray
     n_iter: int
     converged: bool
+    #: Jacobians taken by central differences because a picked branch was
+    #: degenerate with a neighbour (the others come from the branch solve)
+    fd_jacobians: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -149,6 +193,7 @@ class FitResult:
             "covariance_order": list(self.param_names),
             "n_iter": int(self.n_iter),
             "converged": bool(self.converged),
+            "fd_jacobians": int(self.fd_jacobians),
         }
 
     @classmethod
@@ -158,52 +203,47 @@ class FitResult:
                    residual_rms=float(doc["residual_rms_ghz"]),
                    covariance=np.asarray(doc["covariance"], dtype=float),
                    n_iter=int(doc["n_iter"]),
-                   converged=bool(doc["converged"]))
+                   converged=bool(doc["converged"]),
+                   fd_jacobians=int(doc.get("fd_jacobians", 0)))
 
 
 def _apply_params(problem: FitProblem, theta: np.ndarray):
     """Materialise (HybridModel, MagnonMode) from the free-parameter vector."""
     p = dict(problem.initial)
-    p.update(dict(zip(problem.free, theta)))
+    p.update(zip(problem.free, theta))
     t = problem.template
     mag = problem.magnon
-    gyro = p.get("gyro", mag.gyro_ghz_per_t)
-    offset = p.get("field_offset", mag.field_offset_t)
-    magnon = MagnonMode(gyro, offset, mag.linewidth_ghz)
-
-    kind = problem.model_kind
-    if kind == "n4":
-        omega_c = p.get("omega_c", t.photon_freq_ghz[0])
-        g_rl = p.get("g_rl", t.photon_coupling_ghz[0, 1])
-        g = p.get("g", t.magnon_coupling_ghz[0])
-        freqs = np.array([omega_c, omega_c])
-        coup = np.array([[0.0, g_rl], [g_rl, 0.0]])
-        gmag = np.array([g, 0.0])
-    elif kind == "n8":
-        freqs = np.array([p.get(f"omega_c{i + 1}", t.photon_freq_ghz[i]) for i in range(3)])
-        coup = np.zeros((3, 3))
-        gmag = np.array([p.get(f"g{i + 1}", t.magnon_coupling_ghz[i]) for i in range(3)])
-    else:
-        n = t.n_photon
-        freqs = np.array([p.get(f"photon_freq_{i}", t.photon_freq_ghz[i]) for i in range(n)])
-        coup = t.photon_coupling_ghz.copy()
-        for i in range(n):
-            for j in range(i + 1, n):
-                key = f"photon_coupling_{i}_{j}"
-                if key in p:
-                    coup[i, j] = coup[j, i] = p[key]
-        gmag = np.array([p.get(f"magnon_coupling_{i}", t.magnon_coupling_ghz[i])
-                         for i in range(n)])
+    magnon = MagnonMode(p.get("gyro", mag.gyro_ghz_per_t),
+                        p.get("field_offset", mag.field_offset_t), mag.linewidth_ghz)
+    freqs = t.photon_freq_ghz.copy()
+    lam = t.coupling_matrix()
+    for name, (rows, pairs) in _param_routes(problem.model_kind, t.n_photon).items():
+        if name in p:
+            freqs[list(rows)] = p[name]
+            for i, j in pairs:
+                lam[i, j] = lam[j, i] = p[name]
     model = HybridModel(
-        photon_freq_ghz=freqs, photon_coupling_ghz=coup,
-        magnon_freq_ghz=t.magnon_freq_ghz, magnon_coupling_ghz=gmag,
+        photon_freq_ghz=freqs, photon_coupling_ghz=lam[:-1, :-1],
+        magnon_freq_ghz=t.magnon_freq_ghz, magnon_coupling_ghz=lam[:-1, -1],
         photon_linewidth_ghz=t.photon_linewidth_ghz,
         magnon_linewidth_ghz=t.magnon_linewidth_ghz)
     return model, magnon
 
 
 def _residuals(problem: FitProblem, theta: np.ndarray):
-    """Nearest-branch residuals, or None if the trial model is invalid/unstable."""
+    """Nearest-branch residuals and their Jacobian from one normal-mode solve.
+
+    Returns (r, jac): r = f - W_pick, each datum minus its nearest branch,
+    and jac = dr/dtheta of shape (n_data, n_free).  Branch k is the square
+    root of the eigenvalue W_k**2 of S = Omega^1/2 (Omega + 2 Lambda)
+    Omega^1/2 with unit eigenvector e_k, so by Hellmann-Feynman
+    dW_k/domega_i = e_ik**2 (omega_i/W_k + W_k/omega_i) / 2 and
+    dW_k/dlambda_ij = 2 sqrt(omega_i omega_j) e_ik e_jk / W_k for a
+    symmetric pair; gyro and field_offset enter through
+    omega_m = gyro * (B - field_offset).  jac is None when a picked branch
+    lies within ``_DEGENERATE_RTOL`` of a neighbour, where the derivative
+    is not defined.  Returns None if the trial model is invalid/unstable.
+    """
     try:
         model, magnon = _apply_params(problem, theta)
     except InvalidArgumentError:
@@ -211,18 +251,53 @@ def _residuals(problem: FitProblem, theta: np.ndarray):
     fields_u, inverse = np.unique(problem.field_t, return_inverse=True)
     omega_m = magnon.gyro_ghz_per_t * (fields_u - magnon.field_offset_t)
     photons = np.broadcast_to(model.photon_freq_ghz, (omega_m.size, model.n_photon))
-    freqs, _, stable = _normal_modes(np.column_stack((photons, omega_m)),
-                                     model.coupling_matrix())
+    omega = np.column_stack((photons, omega_m))
+    freqs, _, vecs, stable = _normal_modes(omega, model.coupling_matrix())
     if not stable.all():      # includes a nonpositive magnon frequency
         return None
     at_points = freqs[inverse]                       # (n_data, n_branch)
     det = problem.freq_ghz[:, None] - at_points
     pick = np.argmin(np.abs(det), axis=1)
-    return det[np.arange(det.shape[0]), pick]
+    rows = np.arange(det.shape[0])
+    r = det[rows, pick]
+
+    # |diff|: the tie-break may leave tied branches out of order by < 1e-9
+    apart = np.abs(np.diff(freqs, axis=1)) > _DEGENERATE_RTOL * freqs[:, 1:]
+    isolated = np.ones(freqs.shape, dtype=bool)
+    isolated[:, 1:] &= apart
+    isolated[:, :-1] &= apart
+    if not isolated[inverse, pick].all():
+        return r, None
+    w = at_points[rows, pick]
+    om = omega[inverse]
+    e = vecs[inverse, pick]                          # (n_data, n_mode)
+    dw_domega = 0.5 * e ** 2 * (om / w[:, None] + w[:, None] / om)
+    se = np.sqrt(om) * e                             # dW/dlambda_ij = 2 se_i se_j / W
+    n = model.n_photon
+    routes = _param_routes(problem.model_kind, n)
+    jac = np.empty((r.size, len(problem.free)))
+    for col, name in enumerate(problem.free):
+        if name == "gyro":
+            dw = dw_domega[:, n] * (problem.field_t - magnon.field_offset_t)
+        elif name == "field_offset":
+            dw = -magnon.gyro_ghz_per_t * dw_domega[:, n]
+        else:
+            freq_rows, pairs = routes[name]
+            dw = dw_domega[:, list(freq_rows)].sum(axis=1)
+            for i, j in pairs:
+                dw = dw + 2.0 * se[:, i] * se[:, j] / w
+        jac[:, col] = -dw
+    return r, jac
 
 
 def _jacobian(problem: FitProblem, theta: np.ndarray, r0: np.ndarray,
               step_rel: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian of the residuals: the fallback at
+    degenerate branches and the reference the analytic one is tested against."""
+    def resid(t):
+        out = _residuals(problem, t)
+        return None if out is None else out[0]
+
     m, n = r0.shape[0], theta.shape[0]
     jac = np.zeros((m, n))
     for p in range(n):
@@ -231,8 +306,8 @@ def _jacobian(problem: FitProblem, theta: np.ndarray, r0: np.ndarray,
         tp[p] += h
         tm = theta.copy()
         tm[p] -= h
-        rp = _residuals(problem, tp)
-        rm = _residuals(problem, tm)
+        rp = resid(tp)
+        rm = resid(tm)
         if rp is not None and rm is not None:
             jac[:, p] = (rp - rm) / (2.0 * h)
         elif rp is not None:
@@ -263,16 +338,20 @@ def fit(problem: FitProblem, *, max_iter: int = 500, cost_rtol: float = 1e-10,
     lo = np.array([problem.bounds.get(n, (-np.inf, np.inf))[0] for n in problem.free])
     hi = np.array([problem.bounds.get(n, (-np.inf, np.inf))[1] for n in problem.free])
 
-    r = _residuals(problem, theta)
-    if r is None:
+    out = _residuals(problem, theta)
+    if out is None:
         raise InvalidArgumentError("initial parameters give an invalid or unstable model")
+    r, jac = out
     cost = float(r @ r)
     lam = lambda0
     converged = False
     n_iter = 0
+    fd_jacobians = 0
     for _ in range(max_iter):
         n_iter += 1
-        jac = _jacobian(problem, theta, r)
+        if jac is None:
+            jac = _jacobian(problem, theta, r)
+            fd_jacobians += 1
         grad = jac.T @ r
         if np.abs(grad).max(initial=0.0) < grad_atol:
             converged = True
@@ -287,14 +366,15 @@ def fit(problem: FitProblem, *, max_iter: int = 500, cost_rtol: float = 1e-10,
                 lam *= 10.0
                 continue
             trial = np.clip(theta + delta, lo, hi)
-            rt = _residuals(problem, trial)
-            if rt is None:                       # unstable trial: reject with penalty
+            out = _residuals(problem, trial)
+            if out is None:                      # unstable trial: reject with penalty
                 lam *= 10.0
                 continue
+            rt, jt = out
             ct = float(rt @ rt)
             if ct < cost:
                 rel = (cost - ct) / max(cost, 1e-300)
-                theta, r, cost = trial, rt, ct
+                theta, r, jac, cost = trial, rt, jt, ct
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
                 if rel < cost_rtol:
@@ -310,7 +390,9 @@ def fit(problem: FitProblem, *, max_iter: int = 500, cost_rtol: float = 1e-10,
         if converged:
             break
 
-    jac = _jacobian(problem, theta, r)
+    if jac is None:
+        jac = _jacobian(problem, theta, r)
+        fd_jacobians += 1
     jtj = jac.T @ jac
     dof = max(n_data - n_par, 1)
     sigma2 = cost / dof
@@ -323,6 +405,7 @@ def fit(problem: FitProblem, *, max_iter: int = 500, cost_rtol: float = 1e-10,
         covariance=cov,
         n_iter=n_iter,
         converged=converged,
+        fd_jacobians=fd_jacobians,
     )
 
 
@@ -341,8 +424,8 @@ def residual_profile(problem: FitProblem, result: FitResult, param_name: str,
     for i, v in enumerate(values):
         theta = base.copy()
         theta[pidx] = v
-        r = _residuals(problem, theta)
-        costs[i] = np.inf if r is None else float(r @ r)
+        out = _residuals(problem, theta)
+        costs[i] = np.inf if out is None else float(out[0] @ out[0])
     return costs
 
 
@@ -494,7 +577,8 @@ def photon_mode_spacing(model: HybridModel) -> np.ndarray:
     n = model.n_photon
     if n == 1:
         return np.array([np.inf])
-    freqs, _, stable = _normal_modes(model.photon_freq_ghz[None], model.photon_coupling_ghz)
+    freqs, _, _, stable = _normal_modes(model.photon_freq_ghz[None],
+                                        model.photon_coupling_ghz)
     if not stable[0]:
         raise InvalidArgumentError("photon block is not positive definite")
     gaps = np.diff(freqs[0])

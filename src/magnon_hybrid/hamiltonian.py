@@ -278,15 +278,18 @@ def _normal_modes(omega: np.ndarray, lam: np.ndarray):
 
     ``omega`` is (m, n): the bare mode frequencies at each of m points, all
     sharing the symmetric (n, n) coupling matrix ``lam``.  Returns
-    (freqs, fracs, stable): freqs (m, n) ascending per point, fracs (m, n, n)
-    with ``fracs[p, k, i]`` the weight of bare mode i in branch k, and the
-    boolean mask of points whose bare frequencies are all positive and whose
-    S = Omega^1/2 (Omega + 2 Lambda) Omega^1/2 is positive definite.
-    Unstable points are NaN in freqs and fracs, never raised.
+    (freqs, fracs, vecs, stable): freqs (m, n) ascending per point, fracs
+    (m, n, n) with ``fracs[p, k, i]`` the weight of bare mode i in branch k,
+    vecs (m, n, n) with ``vecs[p, k]`` the unit eigenvector e_k of
+    S = Omega^1/2 (Omega + 2 Lambda) Omega^1/2 that branch k comes from, and
+    the boolean mask of points whose bare frequencies are all positive and
+    whose S is positive definite.  Unstable points are NaN in freqs, fracs
+    and vecs, never raised.
     """
     m, n = omega.shape
     freqs = np.full((m, n), np.nan)
     fracs = np.full((m, n, n), np.nan)
+    evecs = np.full((m, n, n), np.nan)
     stable = np.all(omega > 0.0, axis=1)
     bare = omega[stable]
     root = np.sqrt(bare)
@@ -299,8 +302,9 @@ def _normal_modes(omega: np.ndarray, lam: np.ndarray):
     wgt = vecs[ok] ** 2 * (ratio + 1.0 / ratio)
     freqs[stable] = w
     fracs[stable] = np.transpose(wgt / wgt.sum(axis=1, keepdims=True), (0, 2, 1))
-    _tiebreak(freqs, fracs)
-    return freqs, fracs, stable
+    evecs[stable] = np.transpose(vecs[ok], (0, 2, 1))
+    _tiebreak(freqs, fracs, evecs)
+    return freqs, fracs, evecs, stable
 
 
 def dynamical_matrix(model: HybridModel) -> np.ndarray:
@@ -315,12 +319,13 @@ def dynamical_matrix(model: HybridModel) -> np.ndarray:
     return np.block([[a_blk, lam], [-lam, -a_blk]])
 
 
-def _tiebreak(freqs: np.ndarray, fracs: np.ndarray) -> None:
+def _tiebreak(freqs: np.ndarray, fracs: np.ndarray, vecs: np.ndarray) -> None:
     """Order exactly/nearly degenerate branches by descending magnon weight.
 
-    Works in place on a stack: freqs (m, n) ascending per point, fracs
-    (m, n, n).  Neighbouring branches closer than ``_TIE_RTOL`` (relative)
-    form a tie group; only points holding a tie are reordered.
+    Works in place on a stack: freqs (m, n) ascending per point, fracs and
+    the branch eigenvectors vecs (m, n, n), both indexed by branch first.
+    Neighbouring branches closer than ``_TIE_RTOL`` (relative) form a tie
+    group; only points holding a tie are reordered.
     """
     tie = freqs[:, 1:] - freqs[:, :-1] <= _TIE_RTOL * np.maximum(np.abs(freqs[:, 1:]), 1e-300)
     pts = np.nonzero(tie.any(axis=1))[0]
@@ -331,6 +336,7 @@ def _tiebreak(freqs: np.ndarray, fracs: np.ndarray) -> None:
     order = np.lexsort((-fracs[pts, :, -1], group), axis=-1)
     freqs[pts] = np.take_along_axis(freqs[pts], order, axis=1)
     fracs[pts] = np.take_along_axis(fracs[pts], order[:, :, None], axis=1)
+    vecs[pts] = np.take_along_axis(vecs[pts], order[:, :, None], axis=1)
 
 
 def _instability_diagnosis(model: HybridModel) -> InstabilityError:
@@ -354,8 +360,8 @@ def eigen_full(model: HybridModel) -> PolaritonSet:
     Raises :class:`InstabilityError` with a diagnosis when the quadratic form
     is not positive definite (for one photon mode: omega_c*omega_m < 4 g**2).
     """
-    freqs, fracs, stable = _normal_modes(model.mode_frequencies_ghz[None],
-                                         model.coupling_matrix())
+    freqs, fracs, _, stable = _normal_modes(model.mode_frequencies_ghz[None],
+                                            model.coupling_matrix())
     if not stable[0]:
         raise _instability_diagnosis(model)
     return PolaritonSet(freqs[0], fracs[0])
@@ -370,8 +376,8 @@ def eigen_rwa(model: HybridModel) -> PolaritonSet:
     """
     h = np.diag(model.mode_frequencies_ghz) + model.coupling_matrix()
     evals, evecs = np.linalg.eigh(h)
-    freqs, fracs = evals[None], (evecs ** 2).T[None]
-    _tiebreak(freqs, fracs)
+    freqs, fracs, vecs = evals[None], (evecs ** 2).T[None], evecs.T[None]
+    _tiebreak(freqs, fracs, vecs)
     return PolaritonSet(freqs[0], fracs[0])
 
 
@@ -494,8 +500,8 @@ def sweep(model: HybridModel, magnon: MagnonMode, fields_t) -> BranchSet:
         raise InvalidArgumentError("field grid must be strictly increasing")
     omega_m = np.atleast_1d(np.asarray(magnon_frequency(magnon, fields), dtype=float))
     photons = np.broadcast_to(model.photon_freq_ghz, (fields.size, model.n_photon))
-    freqs, fracs, stable = _normal_modes(np.column_stack((photons, omega_m)),
-                                         model.coupling_matrix())
+    freqs, fracs, _, stable = _normal_modes(np.column_stack((photons, omega_m)),
+                                            model.coupling_matrix())
     return BranchSet(fields, freqs, fracs, stable)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from pathlib import Path
 
 from .errors import DataError
@@ -18,12 +19,32 @@ def fmt_num(x) -> str:
     return format(float(x), _NUM_FMT)
 
 
+def _new_file_mode() -> int:
+    """The mode ``open`` gives a new file: 0o666 minus the process umask."""
+    # reading the umask means setting it; the package starts no threads
+    # that could create a file in between
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def write_text_atomic(path, text: str) -> None:
-    """Write via a sibling temp file + rename so readers never see partial output."""
+    """Write via a unique sibling temp file + rename so readers never see
+    partial output and concurrent writers into one directory cannot collide.
+
+    The temp file is removed if the write fails; the result gets the mode a
+    plain ``Path.write_text`` would give it (``mkstemp`` creates 0600).
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.chmod(tmp, _new_file_mode())
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def write_rows(path, rows) -> None:

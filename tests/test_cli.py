@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnon_hybrid import SpectralMap, extract_ridges, load_ridge_csv
 from magnon_hybrid.cli import main
@@ -266,6 +271,25 @@ class TestFit:
         assert err.startswith(f"config error: {block}.")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("item, message", [
+        ("fit.free=5", "fit.free must be a list of parameter names"),
+        ('fit.free="omega_c"', "fit.free must be a list of parameter names"),
+        ('fit.free=["g", "g"]', "free parameters must not repeat"),
+        ("fit.bounds=[]", "fit.bounds must be an object"),
+        ('fit.bounds={"gamma": [0, 1]}', "unknown key fit.bounds.gamma"),
+        ("fit.initial=[]", "fit.initial must be an object"),
+        ('fit.initial={"gyro": Infinity}', "fit.initial.gyro must be finite"),
+        ("data.path=5", "data.path must be a file path"),
+        ('data.path="a\\u0000b"', "data.path must be a file path"),
+    ])
+    def test_wrong_config_type_exit_2_no_outputs(self, tmp_path, capsys, item, message):
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(CONFIGS / "fit_n4.json"),
+                     "--set", f"data.path={DATA / 'n4_ridges.csv'}", "--set", item,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(out.iterdir()) == []
+
     def test_not_converged_still_exit_0(self, tmp_path):
         doc = self.fit_cfg(DATA / "n4_ridges.csv")
         doc["fit"]["max_iter"] = 1
@@ -401,6 +425,65 @@ class TestConfigErrors:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"config error: {block} must be an object\n"
+        assert list(out.iterdir()) == []
+
+
+N4_NAMES = ["omega_c", "g_rl", "g", "gyro", "field_offset"]
+_leaf = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+         | st.sampled_from(N4_NAMES))
+_json = st.recursive(_leaf, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+    st.sampled_from(N4_NAMES) | st.text(max_size=4), inner, max_size=3), max_leaves=6)
+
+
+class TestFitConfigFuzz:
+    @given(key=st.sampled_from(["fit.free", "fit.bounds", "fit.initial", "fit.max_iter",
+                                "data.path"]),
+           value=_json)
+    @settings(max_examples=60, deadline=None)
+    def test_mutated_fit_config_exits_cleanly(self, key, value):
+        doc = json.loads((CONFIGS / "fit_n4.json").read_text())
+        doc["data"]["path"] = str(DATA / "n4_ridges.csv")
+        block, name = key.split(".")
+        doc[block][name] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_cfg(Path(tmp), doc)
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["fit", "--config", str(cfg), "--out", str(out)])
+            assert code in (0, 2, 3, 4)
+            assert "Traceback" not in err.getvalue()
+            written = sorted(p.name for p in out.iterdir())
+            if code == 0:
+                assert written == ["fit_result.json", "regime_report.json", "residuals.svg",
+                                   "run_report.json"]
+            else:
+                assert written == []
+                assert err.getvalue().startswith(("config error:", "data error:"))
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("command, doc, item, where", [
+        ("sweep", sweep_cfg(), "model.g_ghz=NaN", "model.g_ghz"),
+        ("sweep", sweep_cfg(), "magnon.gyro_ghz_per_t=Infinity", "magnon.gyro_ghz_per_t"),
+        ("sweep", sweep_cfg(), "model.photon_linewidth_ghz=[1e999, 0]",
+         "model.photon_linewidth_ghz"),
+        ("sweep", sweep_cfg(model={
+            "kind": "generic", "photon_freq_ghz": [12.0, 13.0],
+            "photon_coupling_ghz": [[0.0, 0.1], [0.1, 0.0]], "magnon_coupling_ghz": [0.5, 0.5]}),
+         "model.photon_coupling_ghz=[[0, NaN], [NaN, 0]]", "model.photon_coupling_ghz[0]"),
+        ("modes", ring4_cfg(), "network.ring.kappa=NaN", "network.ring.kappa"),
+        ("modes", {"schema_version": 1, "network": {
+            "n_posts": 2, "post_freq_ghz": [13.0, 13.0], "coupling": [[0, 1], [1, 0]]}},
+         "network.coupling=[[0, NaN], [NaN, 0]]", "network.coupling[0]"),
+        ("estimate", json.loads((CONFIGS / "estimate_yig.json").read_text()),
+         "estimate.cavity_freq_ghz=Infinity", "estimate.cavity_freq_ghz"),
+    ])
+    def test_non_finite_exit_2_no_outputs(self, tmp_path, capsys, command, doc, item, where):
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_cfg(tmp_path, doc)), "--set", item,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {where} must be finite\n"
         assert list(out.iterdir()) == []
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from magnon_hybrid import (
     FitProblem,
+    HybridModel,
     InvalidArgumentError,
     MagnonMode,
     build_n4,
@@ -15,6 +16,8 @@ from magnon_hybrid import (
     residual_profile,
     sweep,
 )
+from magnon_hybrid import fitting
+from magnon_hybrid.fitting import _jacobian, _residuals
 
 N4_TRUTH = {"omega_c": 13.65, "g_rl": 0.155, "g": 1.84}
 N4_BOUNDS = {"omega_c": (8.0, 20.0), "g_rl": (1e-3, 2.0), "g": (1e-3, 6.0)}
@@ -168,10 +171,118 @@ class TestSerialization:
         fields, freqs, mag = n4_branch_data(n_field=10)
         res = fit(n4_problem(freqs, fields, mag))
         import json
-        clone = FitResult.from_dict(json.loads(json.dumps(res.to_dict())))
+        doc = json.loads(json.dumps(res.to_dict()))
+        clone = FitResult.from_dict(doc)
         assert clone.params == pytest.approx(res.params)
         assert clone.converged == res.converged
+        assert clone.fd_jacobians == res.fd_jacobians == doc["fd_jacobians"] == 0
         np.testing.assert_allclose(clone.covariance, res.covariance)
+        # documents written before the counter existed still load
+        del doc["fd_jacobians"]
+        assert FitResult.from_dict(doc).fd_jacobians == 0
+
+
+def generic_three_photon_problem():
+    model = HybridModel(photon_freq_ghz=[11.5, 12.6, 13.7],
+                        photon_coupling_ghz=[[0.0, 0.2, 0.05], [0.2, 0.0, 0.15],
+                                             [0.05, 0.15, 0.0]],
+                        magnon_freq_ghz=1.0, magnon_coupling_ghz=[0.5, 0.8, 0.6],
+                        photon_linewidth_ghz=[0.0, 0.0, 0.0])
+    mag = MagnonMode(28.0, 0.01, 0.001)
+    fields = np.linspace(0.30, 0.65, 40)
+    freqs = sweep(model, mag, fields).branch_frequencies()
+    names = ("photon_freq_0", "photon_freq_1", "photon_freq_2", "photon_coupling_0_1",
+             "photon_coupling_0_2", "photon_coupling_1_2", "magnon_coupling_0",
+             "magnon_coupling_1", "magnon_coupling_2", "gyro", "field_offset")
+    theta = [11.4, 12.7, 13.6, 0.22, 0.04, 0.14, 0.55, 0.75, 0.65, 27.8, 0.0]
+    return FitProblem(field_t=np.repeat(fields, 4), freq_ghz=freqs.reshape(-1),
+                      model_kind="generic", template=model, magnon=mag, free=names,
+                      initial=dict(zip(names, theta)))
+
+
+def n4_magnon_free_problem():
+    fields, freqs, _ = n4_branch_data()
+    mag = MagnonMode(28.0, 0.01, 0.001)
+    names = ("omega_c", "g_rl", "g", "gyro", "field_offset")
+    theta = [13.6, 0.16, 1.8, 27.9, 0.012]
+    return FitProblem(field_t=fields, freq_ghz=freqs + 0.003, model_kind="n4",
+                      template=build_n4(13.0, 0.1, 1.5, 12.0), magnon=mag, free=names,
+                      initial=dict(zip(names, theta)))
+
+
+def n8_magnon_free_problem():
+    model = build_n8(11.20, 12.20, 13.65, 0.59, 0.73, 0.685, 12.0)
+    mag = MagnonMode(28.0, 0.01, 0.001)
+    fields = np.linspace(0.30, 0.65, 40)
+    freqs = sweep(model, mag, fields).branch_frequencies()
+    names = ("omega_c1", "omega_c2", "omega_c3", "g1", "g2", "g3", "gyro", "field_offset")
+    theta = [11.1, 12.3, 13.6, 0.6, 0.7, 0.7, 28.1, 0.005]
+    return FitProblem(field_t=np.repeat(fields, 4), freq_ghz=freqs.reshape(-1),
+                      model_kind="n8", template=model, magnon=mag, free=names,
+                      initial=dict(zip(names, theta)))
+
+
+class TestAnalyticJacobian:
+    @pytest.mark.parametrize("make", [n4_magnon_free_problem, n8_magnon_free_problem,
+                                      generic_three_photon_problem])
+    def test_matches_central_differences(self, make):
+        problem = make()
+        theta = np.array([problem.initial[name] for name in problem.free])
+        r, jac = _residuals(problem, theta)
+        assert jac.shape == (r.size, len(problem.free))
+        # atol: round-off floor of a 1e-6 central difference on ~14 GHz
+        # branches, eps * 14 / 1e-6, with headroom for the eigensolver
+        np.testing.assert_allclose(jac, _jacobian(problem, theta, r), rtol=1e-6, atol=1e-8)
+
+    def test_exact_degeneracy_falls_back_and_converges(self):
+        # two identical uncoupled photon modes: their branches tie at every
+        # field, so each Jacobian comes from central differences
+        model = HybridModel(photon_freq_ghz=[12.0, 12.0], photon_coupling_ghz=np.zeros((2, 2)),
+                            magnon_freq_ghz=1.0, magnon_coupling_ghz=[0.0, 0.0],
+                            photon_linewidth_ghz=[0.0, 0.0])
+        truth = MagnonMode(28.0, 0.01, 0.001)
+        fields = np.linspace(0.30, 0.60, 30)
+        freqs = sweep(model, truth, fields).branch_frequencies()
+        problem = FitProblem(field_t=np.repeat(fields, 3), freq_ghz=freqs.reshape(-1),
+                             model_kind="generic", template=model,
+                             magnon=MagnonMode(27.0, 0.0, 0.001),
+                             free=("gyro", "field_offset"),
+                             initial={"gyro": 27.0, "field_offset": 0.0})
+        theta = np.array([27.0, 0.0])
+        r, jac = _residuals(problem, theta)
+        assert jac is None
+        res = fit(problem)
+        assert res.converged
+        # one per iteration, plus one for the covariance unless the last
+        # iteration already took it at the final point
+        assert res.fd_jacobians in (res.n_iter, res.n_iter + 1)
+        assert res.params["gyro"] == pytest.approx(28.0, rel=1e-8)
+        assert res.params["field_offset"] == pytest.approx(0.01, rel=1e-6)
+
+    def test_same_optimum_as_forced_finite_differences(self, monkeypatch):
+        # the criterion-3 fits, once with the analytic Jacobian and once with
+        # every Jacobian taken by central differences
+        model = build_n4(N4_TRUTH["omega_c"], N4_TRUTH["g_rl"], N4_TRUTH["g"], 12.0)
+        mag = MagnonMode(28.0, 0.0, 0.001)
+        fields = np.linspace(0.30, 0.65, 40)
+        clean = sweep(model, mag, fields).branch_frequencies().reshape(-1)
+        problems = []
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            data = clean + rng.normal(0.0, 0.005, clean.shape)
+            initial = {k: v * (1.0 + rng.uniform(-0.10, 0.10)) for k, v in N4_TRUTH.items()}
+            problems.append(n4_problem(data, np.repeat(fields, 3), mag, initial=initial))
+        analytic = [fit(p) for p in problems]
+        monkeypatch.setattr(fitting, "_DEGENERATE_RTOL", np.inf)
+        forced = [fit(p) for p in problems]
+        for a, f in zip(analytic, forced):
+            assert a.fd_jacobians == 0 and f.fd_jacobians in (f.n_iter, f.n_iter + 1)
+            assert a.converged and f.converged
+            assert a.residual_rms == pytest.approx(f.residual_rms, rel=1e-12)
+            # seed 71 stops 1.7e-8 apart in g_rl, the flattest direction of
+            # the cost, with the analytic point the lower of the two
+            for name in N4_TRUTH:
+                assert a.params[name] == pytest.approx(f.params[name], rel=2e-8)
 
 
 class TestResidualProfile:

@@ -369,9 +369,11 @@ class TestSweep:
             want_f, want_c = freqs.copy(), fracs.copy()
             for p in range(fields.size):
                 self.per_point_tiebreak(want_f[p], want_c[p])
-            _tiebreak(freqs, fracs)
+            carried = fracs.copy()             # stands in for the eigenvectors
+            _tiebreak(freqs, fracs, carried)
             np.testing.assert_array_equal(freqs, want_f)
             np.testing.assert_array_equal(fracs, want_c)
+            np.testing.assert_array_equal(carried, want_c)
             # the doublets tie at every field
             gaps = np.diff(br.branch_frequencies(), axis=1)
             assert (gaps <= 1e-9 * photons.max()).sum() >= 3 * fields.size
@@ -381,6 +383,28 @@ class TestSweep:
             p = int(np.argmin(np.abs(fields - b)))
             k = int(np.argmin(np.abs(br.branch_frequencies()[p] - w)))
             np.testing.assert_array_equal(mf[p, k:k + 3], [1.0, 0.0, 0.0])
+
+    def test_eigenvectors_follow_branches(self):
+        from magnon_hybrid.hamiltonian import _normal_modes
+        # exact doublets tie at every field, so the tie-break reorders them
+        ring = np.sqrt(13.0 ** 2 - 2.0 * 16.9 * np.cos(2 * np.pi * np.arange(5) / 8))
+        photons = np.concatenate([ring, ring[1:4]])
+        g = np.array([0.4, 0.2, 0, 0, 0.3, 0, 0.1, 0])
+        omega = np.column_stack((np.broadcast_to(photons, (60, 8)),
+                                 np.linspace(-1.0, 16.0, 60)))
+        lam = np.zeros((9, 9))
+        lam[:-1, -1] = lam[-1, :-1] = g
+        freqs, fracs, vecs, stable = _normal_modes(omega, lam)
+        assert not stable.all() and stable.any()
+        assert np.isnan(vecs[~stable]).all()
+        w, e, om = freqs[stable], vecs[stable], omega[stable]
+        root = np.sqrt(om)
+        s_mat = root[:, :, None] * (2.0 * lam + om[:, :, None] * np.eye(9)) * root[:, None, :]
+        np.testing.assert_allclose(np.einsum("pij,pkj->pki", s_mat, e),
+                                   w[:, :, None] ** 2 * e, atol=1e-9)
+        wgt = e ** 2 * (om[:, None, :] / w[:, :, None] + w[:, :, None] / om[:, None, :])
+        np.testing.assert_allclose(wgt / wgt.sum(axis=2, keepdims=True), fracs[stable],
+                                   atol=1e-12)
 
     def test_grid_validation(self):
         model = build_n4(13.65, 0.155, 1.84, 12.0)
