@@ -41,7 +41,17 @@ from .errors import (
     InvalidArgumentError,
     NonPhysicalError,
 )
-from .fitting import FitProblem, classify, fit, photon_mode_spacing, _param_names, _residuals
+from .fitting import (
+    FitProblem,
+    classify,
+    default_free,
+    fit,
+    model_at,
+    param_names,
+    photon_mode_spacing,
+    stable_points,
+    start_values,
+)
 from .hamiltonian import sweep
 from .io_utils import write_json, write_rows, write_text_atomic
 from .magnon import estimate_coupling, estimate_filling
@@ -132,31 +142,6 @@ def cmd_synth(cfg: dict, outdir: Path) -> list[Path]:
     return [csv_path]
 
 
-_FIT_DEFAULT_FREE = {
-    "n4": ("omega_c", "g_rl", "g"),
-    "n8": ("omega_c1", "omega_c2", "omega_c3", "g1", "g2", "g3"),
-}
-
-
-def _fit_initial_from_model(kind: str, model) -> dict[str, float]:
-    if kind == "n4":
-        return {"omega_c": float(model.photon_freq_ghz[0]),
-                "g_rl": float(model.photon_coupling_ghz[0, 1]),
-                "g": float(model.magnon_coupling_ghz[0])}
-    if kind == "n8":
-        out = {f"omega_c{i + 1}": float(model.photon_freq_ghz[i]) for i in range(3)}
-        out.update({f"g{i + 1}": float(model.magnon_coupling_ghz[i]) for i in range(3)})
-        return out
-    out = {f"photon_freq_{i}": float(f) for i, f in enumerate(model.photon_freq_ghz)}
-    n = model.n_photon
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[f"photon_coupling_{i}_{j}"] = float(model.photon_coupling_ghz[i, j])
-    out.update({f"magnon_coupling_{i}": float(g)
-                for i, g in enumerate(model.magnon_coupling_ghz)})
-    return out
-
-
 def cmd_fit(cfg: dict, outdir: Path) -> list[Path]:
     check_schema_version(cfg)
     check_keys(cfg, {"schema_version", "data", "model", "magnon", "fit", "classify"}, "")
@@ -168,19 +153,18 @@ def cmd_fit(cfg: dict, outdir: Path) -> list[Path]:
 
     fit_cfg = cfg.get("fit", {})
     check_keys(fit_cfg, {"free", "bounds", "initial", "max_iter"}, "fit")
-    free = fit_cfg.get("free", list(_FIT_DEFAULT_FREE.get(kind, ())))
+    free = fit_cfg.get("free", list(default_free(kind)))
     if not isinstance(free, list) or not all(isinstance(name, str) for name in free):
         raise ConfigError("fit.free must be a list of parameter names")
     if not free:
         raise ConfigError("fit.free must name at least one parameter")
     free = tuple(free)
-    names = _param_names(kind, model.n_photon)
+    names = param_names(kind, model.n_photon)
     initial_cfg = fit_cfg.get("initial", {})
     check_keys(initial_cfg, names, "fit.initial")
     bounds_cfg = fit_cfg.get("bounds", {})
     check_keys(bounds_cfg, names, "fit.bounds")
-    initial = _fit_initial_from_model(kind, model)
-    initial.update({"gyro": magnon.gyro_ghz_per_t, "field_offset": magnon.field_offset_t})
+    initial = start_values(kind, model, magnon)
     for key, val in initial_cfg.items():
         initial[key] = as_number(val, f"fit.initial.{key}")
     bounds = {}
@@ -202,12 +186,18 @@ def cmd_fit(cfg: dict, outdir: Path) -> list[Path]:
     points = load_ridge_csv(data_path)
     if len(points) < 2 * len(free):
         raise DataError(
-            f"insufficient data: {len(points)} points for {len(free)} free parameters "
-            f"(need at least {2 * len(free)})")
+            f"insufficient data in {data_path}: {len(points)} points for {len(free)} "
+            f"free parameters (need at least {2 * len(free)})")
     try:
         problem = FitProblem.from_ridge_points(
             points, model_kind=kind, template=model, magnon=magnon,
             free=free, initial=initial, bounds=bounds)
+        # a start unstable at some data points blames the data, one unstable
+        # at all of them the starting parameters
+        stable = stable_points(problem, initial)
+        if stable.any() and not stable.all():
+            raise DataError(f"data file {data_path}: the starting model is unstable at "
+                            f"field_t = {problem.field_t[~stable][0]:g} T")
         result = fit(problem, max_iter=max_iter)
     except InvalidArgumentError as exc:
         raise ConfigError(str(exc)) from exc
@@ -215,9 +205,9 @@ def cmd_fit(cfg: dict, outdir: Path) -> list[Path]:
     fit_path = outdir / "fit_result.json"
     write_json(fit_path, result.to_dict())
 
-    fitted_model, fitted_magnon = _fit_model(problem, result)
+    model, magnon = model_at(problem, result.params)
     if fsr is None:
-        fsr_per_mode = photon_mode_spacing(fitted_model)
+        fsr_per_mode = photon_mode_spacing(model)
         if np.all(np.isfinite(fsr_per_mode)):
             fsr = [float(v) for v in fsr_per_mode]
     # three-mode couplings are conventionally quoted over pi, i.e. at twice
@@ -225,33 +215,24 @@ def cmd_fit(cfg: dict, outdir: Path) -> list[Path]:
     # reports that quote both at face value and halved
     quote_factor = 2.0 if kind == "n8" else 1.0
     report = classify(
-        quote_factor * np.abs(fitted_model.magnon_coupling_ghz),
-        fitted_model.photon_freq_ghz,
-        fsr, magnon_linewidth_ghz=fitted_magnon.linewidth_ghz,
-        photon_linewidth_ghz=fitted_model.photon_linewidth_ghz,
+        quote_factor * np.abs(model.magnon_coupling_ghz),
+        model.photon_freq_ghz,
+        fsr, magnon_linewidth_ghz=magnon.linewidth_ghz,
+        photon_linewidth_ghz=model.photon_linewidth_ghz,
         ultrastrong_threshold=threshold)
     doc = report.to_dict()
     doc["coupling_quote_convention"] = "g_over_pi" if kind == "n8" else "ordinary"
     regime_path = outdir / "regime_report.json"
     write_json(regime_path, doc)
 
-    theta = np.array([result.params[name] for name in problem.free])
-    solved = _residuals(problem, theta)
     svg_path = outdir / "residuals.svg"
-    residuals = np.full(problem.field_t.shape, np.nan) if solved is None else solved[0]
     write_text_atomic(svg_path, render_chart(
-        series=[Series(x=problem.field_t, y=residuals, marker=True,
+        series=[Series(x=problem.field_t, y=result.residuals, marker=True,
                        css_class="residual", label="data - model")],
         x_label="field (T)", y_label="residual (GHz)",
         title=f"fit residuals (rms {result.residual_rms:.4g} GHz, "
               f"converged={str(result.converged).lower()})"))
     return [fit_path, regime_path, svg_path]
-
-
-def _fit_model(problem: FitProblem, result):
-    from .fitting import _apply_params
-    theta = np.array([result.params[name] for name in problem.free])
-    return _apply_params(problem, theta)
 
 
 def cmd_estimate(cfg: dict, outdir: Path) -> list[Path]:

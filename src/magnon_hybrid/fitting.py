@@ -70,8 +70,24 @@ def _param_routes(kind: str, n_photon: int) -> dict:
     return routes
 
 
-def _param_names(kind: str, n_photon: int) -> tuple[str, ...]:
+def param_names(kind: str, n_photon: int) -> tuple[str, ...]:
+    """Every parameter name a fit of ``kind`` accepts, gyro and field_offset last."""
     return tuple(_param_routes(kind, n_photon)) + _MAGNON_PARAMS
+
+
+def default_free(kind: str) -> tuple[str, ...]:
+    """The parameters a fit varies when none are named: every model parameter
+    of the fixed-layout kinds (n4, n8), none for the generic model."""
+    return tuple(_param_routes(kind, _KIND_PHOTONS[kind])) if kind in _KIND_PHOTONS else ()
+
+
+def start_values(kind: str, model: HybridModel, magnon: MagnonMode) -> dict[str, float]:
+    """The value of every parameter of ``kind`` in ``model`` and ``magnon``."""
+    lam = model.coupling_matrix()
+    out = {name: float(model.photon_freq_ghz[rows[0]] if rows else lam[pairs[0]])
+           for name, (rows, pairs) in _param_routes(kind, model.n_photon).items()}
+    out.update(gyro=magnon.gyro_ghz_per_t, field_offset=magnon.field_offset_t)
+    return out
 
 
 @dataclass
@@ -107,7 +123,7 @@ class FitProblem:
         if self.template.n_photon != n_photon:
             raise InvalidArgumentError(
                 f"a {self.model_kind!r} fit needs a template with {n_photon} photon modes")
-        valid = set(_param_names(self.model_kind, n_photon))
+        valid = set(param_names(self.model_kind, n_photon))
         self.free = tuple(self.free)
         if len(set(self.free)) != len(self.free):
             raise InvalidArgumentError("free parameters must not repeat")
@@ -184,6 +200,9 @@ class FitResult:
     #: Jacobians taken by central differences because a picked branch was
     #: degenerate with a neighbour (the others come from the branch solve)
     fd_jacobians: int = 0
+    #: data minus nearest branch at the optimum, in the problem's point
+    #: order; not serialised
+    residuals: np.ndarray | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -207,21 +226,53 @@ class FitResult:
                    fd_jacobians=int(doc.get("fd_jacobians", 0)))
 
 
-def _apply_params(problem: FitProblem, theta: np.ndarray):
-    """Materialise (HybridModel, MagnonMode) from the free-parameter vector."""
-    p = dict(problem.initial)
-    p.update(zip(problem.free, theta))
-    t = problem.template
+def _bare_modes(problem: FitProblem, params: dict):
+    """Photon frequencies, (n+1)x(n+1) coupling matrix and magnon at ``params``.
+
+    Values not in ``params`` come from ``problem.initial``, then from the
+    template.  Raises InvalidArgumentError for a nonpositive gyro.
+    """
+    p = dict(problem.initial, **params)
     mag = problem.magnon
     magnon = MagnonMode(p.get("gyro", mag.gyro_ghz_per_t),
                         p.get("field_offset", mag.field_offset_t), mag.linewidth_ghz)
-    freqs = t.photon_freq_ghz.copy()
-    lam = t.coupling_matrix()
-    for name, (rows, pairs) in _param_routes(problem.model_kind, t.n_photon).items():
+    freqs = problem.template.photon_freq_ghz.copy()
+    lam = problem.template.coupling_matrix()
+    for name, (rows, pairs) in _param_routes(problem.model_kind, freqs.size).items():
         if name in p:
             freqs[list(rows)] = p[name]
             for i, j in pairs:
                 lam[i, j] = lam[j, i] = p[name]
+    return freqs, lam, magnon
+
+
+def _solve(problem: FitProblem, params: dict):
+    """Normal modes at ``params``, one row per distinct data field.
+
+    Returns the bare frequencies omega, then freqs, vecs and stable as
+    :func:`_normal_modes` gives them, the row of each data point, and the
+    magnon.
+    """
+    photon_freqs, lam, magnon = _bare_modes(problem, params)
+    fields, inverse = np.unique(problem.field_t, return_inverse=True)
+    omega_m = magnon.gyro_ghz_per_t * (fields - magnon.field_offset_t)
+    omega = np.column_stack(
+        (np.broadcast_to(photon_freqs, (fields.size, photon_freqs.size)), omega_m))
+    freqs, _, vecs, stable = _normal_modes(omega, lam)
+    return omega, freqs, vecs, stable, inverse, magnon
+
+
+def stable_points(problem: FitProblem, params: dict) -> np.ndarray:
+    """Mask of the data points at which the model at ``params`` is stable."""
+    *_, stable, inverse, _ = _solve(problem, params)
+    return stable[inverse]
+
+
+def model_at(problem: FitProblem, params: dict) -> tuple[HybridModel, MagnonMode]:
+    """The (model, magnon) pair at ``params``, such as the optimum
+    ``FitResult.params`` or the start ``problem.initial``."""
+    t = problem.template
+    freqs, lam, magnon = _bare_modes(problem, params)
     model = HybridModel(
         photon_freq_ghz=freqs, photon_coupling_ghz=lam[:-1, :-1],
         magnon_freq_ghz=t.magnon_freq_ghz, magnon_coupling_ghz=lam[:-1, -1],
@@ -245,15 +296,11 @@ def _residuals(problem: FitProblem, theta: np.ndarray):
     is not defined.  Returns None if the trial model is invalid/unstable.
     """
     try:
-        model, magnon = _apply_params(problem, theta)
+        omega, freqs, vecs, stable, inverse, magnon = _solve(
+            problem, dict(zip(problem.free, theta)))
     except InvalidArgumentError:
         return None
-    fields_u, inverse = np.unique(problem.field_t, return_inverse=True)
-    omega_m = magnon.gyro_ghz_per_t * (fields_u - magnon.field_offset_t)
-    photons = np.broadcast_to(model.photon_freq_ghz, (omega_m.size, model.n_photon))
-    omega = np.column_stack((photons, omega_m))
-    freqs, _, vecs, stable = _normal_modes(omega, model.coupling_matrix())
-    if not stable.all():      # includes a nonpositive magnon frequency
+    if not stable.all():      # includes a nonpositive bare frequency
         return None
     at_points = freqs[inverse]                       # (n_data, n_branch)
     det = problem.freq_ghz[:, None] - at_points
@@ -273,7 +320,7 @@ def _residuals(problem: FitProblem, theta: np.ndarray):
     e = vecs[inverse, pick]                          # (n_data, n_mode)
     dw_domega = 0.5 * e ** 2 * (om / w[:, None] + w[:, None] / om)
     se = np.sqrt(om) * e                             # dW/dlambda_ij = 2 se_i se_j / W
-    n = model.n_photon
+    n = problem.template.n_photon
     routes = _param_routes(problem.model_kind, n)
     jac = np.empty((r.size, len(problem.free)))
     for col, name in enumerate(problem.free):
@@ -406,6 +453,7 @@ def fit(problem: FitProblem, *, max_iter: int = 500, cost_rtol: float = 1e-10,
         n_iter=n_iter,
         converged=converged,
         fd_jacobians=fd_jacobians,
+        residuals=r,
     )
 
 
@@ -506,14 +554,10 @@ def classify(couplings_ghz, mode_freq_ghz, fsr_ghz=None, *,
     """
     from .network import ModeSpectrum
     if isinstance(fsr_ghz, ModeSpectrum):
-        spectrum_freqs = fsr_ghz.frequencies_ghz
+        spectrum = fsr_ghz.frequencies_ghz
         omega_arr = np.atleast_1d(np.asarray(mode_freq_ghz, dtype=float))
-        fsr_ghz = []
-        for w in omega_arr:
-            k = int(np.argmin(np.abs(spectrum_freqs - w)))
-            gaps = [abs(spectrum_freqs[j] - spectrum_freqs[k])
-                    for j in range(spectrum_freqs.size) if j != k]
-            fsr_ghz.append(min(gaps) if gaps else np.inf)
+        nearest = np.argmin(np.abs(spectrum - omega_arr[:, None]), axis=1)
+        fsr_ghz = _neighbour_gaps(spectrum)[nearest]
     g = np.atleast_1d(np.asarray(couplings_ghz, dtype=float))
     omega = np.atleast_1d(np.asarray(mode_freq_ghz, dtype=float))
     if g.shape != omega.shape:
@@ -528,20 +572,9 @@ def classify(couplings_ghz, mode_freq_ghz, fsr_ghz=None, *,
 
     n = g.shape[0]
     if fsr_ghz is None:
-        if n >= 2:
-            order = np.sort(omega)
-            gaps = np.diff(order)
-            fsr_list = []
-            for w in omega:
-                k = int(np.searchsorted(order, w))
-                cand = []
-                if k > 0:
-                    cand.append(gaps[k - 1])
-                if k < n - 1:
-                    cand.append(gaps[k])
-                fsr_list.append(float(min(cand)) if cand else None)
-        else:
-            fsr_list = [None] * n
+        order = np.sort(omega)
+        gaps = _neighbour_gaps(order)[np.searchsorted(order, omega)]
+        fsr_list = [float(x) if n >= 2 else None for x in gaps]
     elif np.isscalar(fsr_ghz):
         fsr_list = [float(fsr_ghz)] * n
     else:
@@ -574,12 +607,15 @@ def photon_mode_spacing(model: HybridModel) -> np.ndarray:
     coupling is resolved (so a coupled doublet reports its splitting, not
     zero).  Returns inf for a single-mode model.
     """
-    n = model.n_photon
-    if n == 1:
-        return np.array([np.inf])
     freqs, _, _, stable = _normal_modes(model.photon_freq_ghz[None],
                                         model.photon_coupling_ghz)
     if not stable[0]:
         raise InvalidArgumentError("photon block is not positive definite")
-    gaps = np.diff(freqs[0])
+    return _neighbour_gaps(freqs[0])
+
+
+def _neighbour_gaps(ascending: np.ndarray) -> np.ndarray:
+    """Gap from each entry of an ascending array to its nearest neighbour
+    (inf for a lone entry)."""
+    gaps = np.diff(ascending)
     return np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))

@@ -283,14 +283,14 @@ def _normal_modes(omega: np.ndarray, lam: np.ndarray):
     vecs (m, n, n) with ``vecs[p, k]`` the unit eigenvector e_k of
     S = Omega^1/2 (Omega + 2 Lambda) Omega^1/2 that branch k comes from, and
     the boolean mask of points whose bare frequencies are all positive and
-    whose S is positive definite.  Unstable points are NaN in freqs, fracs
-    and vecs, never raised.
+    finite and whose S is positive definite.  Unstable points are NaN in
+    freqs, fracs and vecs, never raised.
     """
     m, n = omega.shape
     freqs = np.full((m, n), np.nan)
     fracs = np.full((m, n, n), np.nan)
     evecs = np.full((m, n, n), np.nan)
-    stable = np.all(omega > 0.0, axis=1)
+    stable = (omega.min(axis=1) > 0.0) & (omega.max(axis=1) < np.inf)
     bare = omega[stable]
     root = np.sqrt(bare)
     vmat = 2.0 * lam + bare[:, :, None] * np.eye(n)

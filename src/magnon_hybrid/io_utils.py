@@ -64,14 +64,18 @@ def read_csv_columns(path) -> tuple[dict[str, list[str]], list[int]]:
     """Read a simple header + rows CSV into per-column string lists.
 
     Blank lines are skipped.  Returns the columns and, for each data row, its
-    1-based line number in the file.  Raises :class:`DataError` naming the
-    lines of rows whose cell count differs from the header's.
+    1-based line number in the file.  Raises :class:`DataError` naming a
+    repeated header name, or the lines of rows whose cell count differs from
+    the header's.
     """
     text = Path(path).read_text(encoding="utf-8")
     rows = [(no, ln.split(",")) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not rows:
         return {}, []
     header = [h.strip() for h in rows[0][1]]
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise DataError(f"{path}: header repeats column {repeated[0]!r}")
     bad = [no for no, cells in rows[1:] if len(cells) != len(header)]
     if bad:
         shown = ", ".join(map(str, bad[:10]))

@@ -102,10 +102,12 @@ class SpectralMap:
                 cells = ln.split(",")
                 field.append(float(cells[0]))
                 rows.append([float(x) for x in cells[1:]])
-            mag = np.asarray(rows).T
-        except ValueError as exc:
+            field, mag = np.asarray(field), np.asarray(rows).T
+            if not all(np.isfinite(arr).all() for arr in (field, freq, mag)):
+                raise DataError(f"map file {path} holds a non-finite axis value or cell")
+            return cls(field, freq, mag)
+        except ValueError as exc:         # InvalidArgumentError included
             raise DataError(f"malformed map file {path}: {exc}") from exc
-        return cls(np.asarray(field), freq, mag)
 
     def to_json(self, path) -> None:
         write_json(path, {

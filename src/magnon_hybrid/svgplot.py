@@ -69,7 +69,11 @@ def _downsample(bg: HeatBackground):
     sx = max(1, int(np.ceil(nx / tx)))
     sy = max(1, int(np.ceil(ny / ty)))
     nxo, nyo = nx // sx, ny // sy
-    v = bg.values[:nyo * sy, :nxo * sx].reshape(nyo, sy, nxo, sx).mean(axis=(1, 3))
+    # scaled into [-1, 1] by a power of two, exact for normal floats, so that
+    # neither a block mean nor the value range can overflow
+    top = float(np.nanmax(np.abs(bg.values)))
+    exp = int(np.frexp(top)[1]) if np.isfinite(top) else 0
+    v = np.ldexp(bg.values[:nyo * sy, :nxo * sx], -exp).reshape(nyo, sy, nxo, sx).mean(axis=(1, 3))
     x = bg.x[:nxo * sx].reshape(nxo, sx).mean(axis=1)
     y = bg.y[:nyo * sy].reshape(nyo, sy).mean(axis=1)
     return x, y, v

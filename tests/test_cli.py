@@ -130,7 +130,11 @@ class TestSweep:
     @pytest.mark.parametrize("content", [
         b"field_t,13.0,13.1\n0.40,-20.0,oops\n0.41,-21.0,-22.0\n",   # non-number cell
         b"field_t,13.0,13.1\n0.40,-20.0,-21.0\xff\n",                # not UTF-8
-    ], ids=["non_number", "non_utf8"])
+        b"field_t,13.0,13.1\n0.40,-20.0,nan\n0.41,-21.0,-22.0\n",
+        b"field_t,13.0,13.1\n0.40,-20.0,-inf\n0.41,-21.0,-22.0\n",
+        b"field_t,13.0,13.1\n0.41,-20.0,-21.0\n0.40,-21.0,-22.0\n",   # field axis
+        b"field_t,13.1,13.0\n0.40,-20.0,-21.0\n0.41,-21.0,-22.0\n",   # frequency axis
+    ], ids=["non_number", "non_utf8", "nan", "inf", "unsorted_field", "unsorted_freq"])
     def test_bad_background_map_exit_4_no_outputs(self, tmp_path, capsys, content):
         bad_map = tmp_path / "map.csv"
         bad_map.write_bytes(content)
@@ -141,6 +145,17 @@ class TestSweep:
         assert err.startswith("data error:") and str(bad_map) in err
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("n_field", [2, 242], ids=["range", "block_mean"])
+    def test_background_map_wider_than_float_range(self, tmp_path, n_field):
+        # 242 field columns are averaged in blocks of 3 for the heat cells
+        rows = [f"{0.4 + 1e-3 * i:.3f},{-1e308 if i == 0 else 0},1e308" for i in range(n_field)]
+        wide = tmp_path / "map.csv"
+        wide.write_text("\n".join(["field_t,13.0,13.1"] + rows) + "\n")
+        cfg = write_cfg(tmp_path, sweep_cfg(plot={"background_map": str(wide)}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        svg = (tmp_path / "out" / "branches.svg").read_text()
+        assert "rgb(250,250,250)" in svg and "rgb(80,80,80)" in svg
 
     @pytest.mark.parametrize("plot", [[], {"background_map": 3}, {"colour": "red"}])
     def test_bad_plot_block_exit_2_no_outputs(self, tmp_path, plot):
@@ -253,6 +268,50 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and where in err and str(data) in err
         assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    def test_repeated_ridge_header_exit_4_no_outputs(self, tmp_path, capsys):
+        data = tmp_path / "ridges.csv"
+        data.write_text("field_t,field_t,freq_ghz\n" + "0.4,0.4,13.0\n" * 8)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(write_cfg(tmp_path, self.fit_cfg(data))),
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == f"data error: {data}: header repeats column 'field_t'\n"
+        assert list(out.iterdir()) == []
+
+    def test_default_free_matches_bundled_list(self, tmp_path):
+        doc = json.loads((CONFIGS / "fit_n4.json").read_text())
+        doc["data"]["path"] = str(DATA / "n4_ridges.csv")
+        assert main(["fit", "--config", str(write_cfg(tmp_path, doc)),
+                     "--out", str(tmp_path / "explicit")]) == 0
+        del doc["fit"]["free"]
+        assert main(["fit", "--config", str(write_cfg(tmp_path, doc)),
+                     "--out", str(tmp_path / "default")]) == 0
+        assert ((tmp_path / "default" / "fit_result.json").read_bytes()
+                == (tmp_path / "explicit" / "fit_result.json").read_bytes())
+
+    def test_data_outside_stable_fields_exit_4(self, tmp_path, capsys):
+        # below 0.0277 T the starting coupling g = 1.6 GHz exceeds the
+        # stability bound 4 g**2 < omega_c * omega_m
+        rows = [f"{0.40 + 0.01 * k:.2f},{13.0 + 0.02 * k:.2f}" for k in range(12)]
+        data = tmp_path / "ridges.csv"
+        data.write_text("\n".join(["field_t,freq_ghz", "0.02,13.0"] + rows) + "\n")
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(write_cfg(tmp_path, self.fit_cfg(data))),
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == (f"data error: data file {data}: the starting model is unstable at "
+                       "field_t = 0.02 T\n")
+        assert list(out.iterdir()) == []
+
+    def test_start_unstable_at_every_field_exit_2(self, tmp_path, capsys):
+        cfg = self.fit_cfg(DATA / "n4_ridges.csv")
+        cfg["model"]["g_ghz"] = 12.0         # unstable up to 1.56 T
+        cfg["fit"]["bounds"]["g"] = [0.001, 20.0]
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: initial parameters")
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("block, value", [
@@ -460,6 +519,88 @@ class TestFitConfigFuzz:
             else:
                 assert written == []
                 assert err.getvalue().startswith(("config error:", "data error:"))
+
+
+_token = (st.floats().map(repr) | st.text(max_size=4)
+          | st.sampled_from(["nan", "inf", "-inf", "", " ", "1e999", "1e307", "oops"]))
+_edit = st.tuples(st.sampled_from(["cell", "drop", "extra", "swap_rows", "swap_header",
+                                   "repeat_header"]),
+                  st.integers(0, 99), st.integers(0, 99), _token)
+
+
+def mutate_csv(text, edits):
+    """Apply cell, ragged-row, unsorted-axis and repeated-header edits to CSV text."""
+    rows = [line.split(",") for line in text.splitlines()]
+    header = rows[0]
+    for kind, a, b, token in edits:
+        row = rows[a % len(rows)]
+        if kind == "cell" and row:
+            row[b % len(row)] = token
+        elif kind == "drop" and row:
+            row.pop()
+        elif kind == "extra":
+            row.append(token)
+        elif kind == "swap_rows":
+            i, j = 1 + a % (len(rows) - 1), 1 + b % (len(rows) - 1)
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "swap_header" and header:
+            i, j = a % len(header), b % len(header)
+            header[i], header[j] = header[j], header[i]
+        elif kind == "repeat_header" and header:
+            header[a % len(header)] = header[b % len(header)]
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+def run_cli(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestInputCsvFuzz:
+    MAP = "\n".join(
+        ["field_t," + ",".join(f"{12.0 + 0.5 * j:g}" for j in range(5))]
+        + [f"{0.40 + 0.02 * i:.2f}," + ",".join(f"{-20.0 - i - 3 * j:g}" for j in range(5))
+           for i in range(4)]) + "\n"
+    RIDGES = "\n".join((DATA / "n4_ridges.csv").read_text().splitlines()[::24]) + "\n"
+
+    def check(self, code, err, path, out, outputs):
+        assert code in (0, 4), err
+        assert "Traceback" not in err
+        written = sorted(p.name for p in out.iterdir())
+        if code == 0:
+            assert written == outputs + ["run_report.json"]
+        else:
+            assert err.startswith("data error:") and str(path) in err, err
+            assert written == []
+
+    @given(edits=st.lists(_edit, min_size=1, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_mutated_background_map(self, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "map.csv"
+            path.write_text(mutate_csv(self.MAP, edits), encoding="utf-8")
+            cfg = sweep_cfg(plot={"background_map": str(path)})
+            cfg["sweep"]["n_field"] = 11
+            out = Path(tmp) / "out"
+            code, err = run_cli(["sweep", "--config", str(write_cfg(Path(tmp), cfg)),
+                                 "--out", str(out)])
+            self.check(code, err, path, out, ["branches.csv", "branches.svg"])
+
+    @given(edits=st.lists(_edit, min_size=1, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_mutated_ridge_csv(self, edits):
+        doc = json.loads((CONFIGS / "fit_n4.json").read_text())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ridges.csv"
+            path.write_text(mutate_csv(self.RIDGES, edits), encoding="utf-8")
+            doc["data"]["path"] = str(path)
+            out = Path(tmp) / "out"
+            code, err = run_cli(["fit", "--config", str(write_cfg(Path(tmp), doc)),
+                                 "--out", str(out)])
+            self.check(code, err, path, out,
+                       ["fit_result.json", "regime_report.json", "residuals.svg"])
 
 
 class TestNonFiniteNumbers:

@@ -17,7 +17,15 @@ from magnon_hybrid import (
     sweep,
 )
 from magnon_hybrid import fitting
-from magnon_hybrid.fitting import _jacobian, _residuals
+from magnon_hybrid.fitting import (
+    _jacobian,
+    _residuals,
+    default_free,
+    model_at,
+    param_names,
+    stable_points,
+    start_values,
+)
 
 N4_TRUTH = {"omega_c": 13.65, "g_rl": 0.155, "g": 1.84}
 N4_BOUNDS = {"omega_c": (8.0, 20.0), "g_rl": (1e-3, 2.0), "g": (1e-3, 6.0)}
@@ -283,6 +291,89 @@ class TestAnalyticJacobian:
             # the cost, with the analytic point the lower of the two
             for name in N4_TRUTH:
                 assert a.params[name] == pytest.approx(f.params[name], rel=2e-8)
+
+
+GENERIC_TEMPLATE = HybridModel(
+    photon_freq_ghz=[11.5, 12.6, 13.7],
+    photon_coupling_ghz=[[0.0, 0.2, 0.05], [0.2, 0.0, 0.15], [0.05, 0.15, 0.0]],
+    magnon_freq_ghz=1.0, magnon_coupling_ghz=[0.5, 0.8, 0.6],
+    photon_linewidth_ghz=[0.01, 0.02, 0.03], magnon_linewidth_ghz=0.001)
+
+#: (kind, template, the start values read by hand off the template)
+LAYOUTS = [
+    ("n4", build_n4(13.2, 0.12, 1.6, 12.0),
+     {"omega_c": 13.2, "g_rl": 0.12, "g": 1.6}),
+    ("n8", build_n8(11.20, 12.20, 13.65, 0.59, 0.73, 0.685, 12.0),
+     {"omega_c1": 11.20, "omega_c2": 12.20, "omega_c3": 13.65,
+      "g1": 0.59, "g2": 0.73, "g3": 0.685}),
+    ("generic", GENERIC_TEMPLATE,
+     {"photon_freq_0": 11.5, "photon_freq_1": 12.6, "photon_freq_2": 13.7,
+      "photon_coupling_0_1": 0.2, "photon_coupling_0_2": 0.05,
+      "photon_coupling_1_2": 0.15, "magnon_coupling_0": 0.5,
+      "magnon_coupling_1": 0.8, "magnon_coupling_2": 0.6}),
+]
+
+
+def layout_problem(kind, template, free, initial):
+    fields = np.linspace(0.30, 0.65, 8)
+    return FitProblem(field_t=fields, freq_ghz=np.full(8, 13.0), model_kind=kind,
+                      template=template, magnon=MagnonMode(28.0, 0.01, 0.001),
+                      free=free, initial=initial)
+
+
+class TestParameterLayout:
+    @pytest.mark.parametrize("kind, template, expected", LAYOUTS, ids=["n4", "n8", "generic"])
+    def test_start_values(self, kind, template, expected):
+        values = start_values(kind, template, MagnonMode(28.5, 0.01, 0.001))
+        assert values == dict(expected, gyro=28.5, field_offset=0.01)
+        assert tuple(values) == param_names(kind, template.n_photon)
+
+    def test_default_free(self):
+        assert default_free("n4") == ("omega_c", "g_rl", "g")
+        assert default_free("n8") == ("omega_c1", "omega_c2", "omega_c3", "g1", "g2", "g3")
+        assert default_free("generic") == ()
+
+    @pytest.mark.parametrize("kind, template, expected", LAYOUTS, ids=["n4", "n8", "generic"])
+    def test_model_at_start_reproduces_template(self, kind, template, expected):
+        magnon = MagnonMode(28.0, 0.01, 0.001)
+        initial = start_values(kind, template, magnon)
+        problem = layout_problem(kind, template, tuple(expected), initial)
+        model, fitted_magnon = model_at(problem, initial)
+        np.testing.assert_array_equal(model.photon_freq_ghz, template.photon_freq_ghz)
+        np.testing.assert_array_equal(model.coupling_matrix(), template.coupling_matrix())
+        np.testing.assert_array_equal(model.photon_linewidth_ghz,
+                                      template.photon_linewidth_ghz)
+        assert model.magnon_linewidth_ghz == template.magnon_linewidth_ghz
+        assert fitted_magnon == magnon
+
+    def test_initial_overrides_non_free_parameter(self):
+        template = build_n4(13.2, 0.12, 1.6, 12.0)
+        initial = {"omega_c": 13.5, "g_rl": 0.2, "g": 1.7, "gyro": 27.0}
+        problem = layout_problem("n4", template, ("g",), initial)
+        model, magnon = model_at(problem, {"g": 1.9})
+        np.testing.assert_array_equal(model.photon_freq_ghz, [13.5, 13.5])
+        assert model.photon_coupling_ghz[0, 1] == 0.2
+        np.testing.assert_array_equal(model.magnon_coupling_ghz, [1.9, 0.0])
+        assert magnon == MagnonMode(27.0, 0.01, 0.001)
+
+    def test_fit_keeps_residuals_at_optimum(self):
+        fields, freqs, mag = n4_branch_data()
+        problem = n4_problem(freqs + 0.002, fields, mag)
+        res = fit(problem)
+        theta = np.array([res.params[name] for name in problem.free])
+        np.testing.assert_array_equal(res.residuals, _residuals(problem, theta)[0])
+        assert "residuals" not in res.to_dict()
+
+    def test_stable_points(self):
+        template = build_n4(13.2, 0.12, 1.6, 12.0)
+        initial = start_values("n4", template, MagnonMode(28.0, 0.0, 0.001))
+        problem = FitProblem(field_t=[-0.1, 0.0, 0.01, 0.3, 0.3, 0.5], freq_ghz=np.ones(6),
+                             model_kind="n4", template=template,
+                             magnon=MagnonMode(28.0, 0.0, 0.001), free=("g",),
+                             initial=initial)
+        # 4 g**2 > omega_c * omega_m up to 0.0277 T
+        np.testing.assert_array_equal(stable_points(problem, initial),
+                                      [False, False, False, True, True, True])
 
 
 class TestResidualProfile:

@@ -3,7 +3,8 @@ import stat
 
 import pytest
 
-from magnon_hybrid.io_utils import write_text_atomic
+from magnon_hybrid.errors import DataError
+from magnon_hybrid.io_utils import read_csv_columns, write_text_atomic
 
 
 def mode(path):
@@ -45,3 +46,11 @@ class TestWriteTextAtomic:
         write_text_atomic(tmp_path / "report.json", "{}\n")
         assert (tmp_path / "report.json").read_text() == "{}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "report.json.tmp"]
+
+
+class TestReadCsvColumns:
+    def test_repeated_header_names_file_and_column(self, tmp_path):
+        path = tmp_path / "ridges.csv"
+        path.write_text("field_t,field_t,freq_ghz\n0.4,0.5,13.0\n")
+        with pytest.raises(DataError, match=f"{path}: header repeats column 'field_t'"):
+            read_csv_columns(path)
