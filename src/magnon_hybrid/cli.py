@@ -188,13 +188,17 @@ def cmd_fit(cfg: dict, outdir: Path) -> list[Path]:
         raise DataError(
             f"insufficient data in {data_path}: {len(points)} points for {len(free)} "
             f"free parameters (need at least {2 * len(free)})")
+    with np.errstate(over="ignore"):      # the fit sums squared residuals
+        if not np.isfinite(points.freq_ghz @ points.freq_ghz):
+            raise DataError(f"data file {data_path}: the squared frequencies overflow")
     try:
         problem = FitProblem.from_ridge_points(
             points, model_kind=kind, template=model, magnon=magnon,
             free=free, initial=initial, bounds=bounds)
         # a start unstable at some data points blames the data, one unstable
-        # at all of them the starting parameters
-        stable = stable_points(problem, initial)
+        # at all of them the starting parameters; an overflowing field is unstable
+        with np.errstate(over="ignore"):
+            stable = stable_points(problem, initial)
         if stable.any() and not stable.all():
             raise DataError(f"data file {data_path}: the starting model is unstable at "
                             f"field_t = {problem.field_t[~stable][0]:g} T")
@@ -246,6 +250,9 @@ def cmd_estimate(cfg: dict, outdir: Path) -> list[Path]:
     mode = est.get("mode", "coupling")
     if mode not in ("coupling", "filling"):
         raise ConfigError("estimate.mode must be 'coupling' or 'filling'")
+    if mode == "filling" or "g_ghz" in est:
+        g_meas = as_number(require_key(est, "g_ghz", "estimate"), "estimate.g_ghz",
+                           positive=True)
 
     warnings = []
     if ensemble.filling_factor >= 1.0:
@@ -267,8 +274,6 @@ def cmd_estimate(cfg: dict, outdir: Path) -> list[Path]:
         doc["g_est_ghz"] = g_est
         print(f"g_est = {g_est:.6g} GHz")
     else:
-        g_meas = as_number(require_key(est, "g_ghz", "estimate"), "estimate.g_ghz",
-                         positive=True)
         xi_est = estimate_filling(g_meas, ensemble, cavity, magnon.gyro_ghz_per_t)
         doc["inputs"]["g_ghz"] = g_meas
         doc["filling_factor_est"] = xi_est

@@ -337,8 +337,7 @@ def _residuals(problem: FitProblem, theta: np.ndarray):
     return r, jac
 
 
-def _jacobian(problem: FitProblem, theta: np.ndarray, r0: np.ndarray,
-              step_rel: float = 1e-6) -> np.ndarray:
+def _jacobian(problem: FitProblem, theta: np.ndarray, r0: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of the residuals: the fallback at
     degenerate branches and the reference the analytic one is tested against."""
     def resid(t):
@@ -348,7 +347,7 @@ def _jacobian(problem: FitProblem, theta: np.ndarray, r0: np.ndarray,
     m, n = r0.shape[0], theta.shape[0]
     jac = np.zeros((m, n))
     for p in range(n):
-        h = step_rel * max(abs(theta[p]), 1.0)
+        h = 1e-6 * max(abs(theta[p]), 1.0)
         tp = theta.copy()
         tp[p] += h
         tm = theta.copy()
@@ -364,12 +363,11 @@ def _jacobian(problem: FitProblem, theta: np.ndarray, r0: np.ndarray,
     return jac
 
 
-def fit(problem: FitProblem, *, max_iter: int = 500, cost_rtol: float = 1e-10,
-        grad_atol: float = 1e-8, lambda0: float = 1e-3) -> FitResult:
+def fit(problem: FitProblem, *, max_iter: int = 500) -> FitResult:
     """Damped least squares over the free parameters.
 
     Convergence means the relative cost change of an accepted step fell
-    below ``cost_rtol`` or the gradient infinity-norm below ``grad_atol``
+    below 1e-10 or the gradient infinity-norm below 1e-8
     (an exhausted damping search counts as a zero-change step).  After
     ``max_iter`` iterations the best point so far is returned with
     ``converged = False``; that is a reported outcome, not an exception.
@@ -390,7 +388,7 @@ def fit(problem: FitProblem, *, max_iter: int = 500, cost_rtol: float = 1e-10,
         raise InvalidArgumentError("initial parameters give an invalid or unstable model")
     r, jac = out
     cost = float(r @ r)
-    lam = lambda0
+    lam = 1e-3
     converged = False
     n_iter = 0
     fd_jacobians = 0
@@ -400,7 +398,7 @@ def fit(problem: FitProblem, *, max_iter: int = 500, cost_rtol: float = 1e-10,
             jac = _jacobian(problem, theta, r)
             fd_jacobians += 1
         grad = jac.T @ r
-        if np.abs(grad).max(initial=0.0) < grad_atol:
+        if np.abs(grad).max(initial=0.0) < 1e-8:
             converged = True
             break
         jtj = jac.T @ jac
@@ -424,7 +422,7 @@ def fit(problem: FitProblem, *, max_iter: int = 500, cost_rtol: float = 1e-10,
                 theta, r, jac, cost = trial, rt, jt, ct
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
-                if rel < cost_rtol:
+                if rel < 1e-10:
                     converged = True
                 break
             lam *= 10.0

@@ -36,6 +36,7 @@ from .errors import (
     InvalidArgumentError,
     ResourceLimitError,
 )
+from .io_utils import write_rows
 from .magnon import MagnonMode, magnon_frequency
 
 #: relative tolerance treating two polariton frequencies as degenerate
@@ -225,7 +226,6 @@ class BranchSet:
         return self.fracs[:, :, -1]
 
     def to_csv(self, path) -> None:
-        from .io_utils import write_rows
         rows = [("field_t", "branch_index", "freq_ghz", "magnon_fraction", "stable")]
         for b, freqs, mags, ok in zip(self.field_t.tolist(), self.freqs.tolist(),
                                       self.magnon_fractions().tolist(), self.stable.tolist()):

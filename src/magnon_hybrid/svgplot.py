@@ -60,12 +60,11 @@ class HeatBackground:
     x: np.ndarray          # cell centers along x
     y: np.ndarray          # cell centers along y
     values: np.ndarray     # (len(y), len(x))
-    max_cells: tuple[int, int] = (120, 90)
 
 
 def _downsample(bg: HeatBackground):
     ny, nx = bg.values.shape
-    tx, ty = bg.max_cells
+    tx, ty = 120, 90      # most cells drawn; a larger grid is block-averaged
     sx = max(1, int(np.ceil(nx / tx)))
     sy = max(1, int(np.ceil(ny / ty)))
     nxo, nyo = nx // sx, ny // sy

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,22 @@ class TestSweep:
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("content, where", [
+        ("field_t,13.0,13.1\n0.40,-20.0,-21.0\n0.41,-21.0,oops\n",
+         "line 3: 13.1 'oops' is not a number"),
+        ("field_t,13.0,13.1\n0.40,-20.0,-21.0\n\n0.41,-21.0\n", "line 4: no 13.1 cell"),
+        ("field_t,13.0,13.0\n0.40,-20.0,-21.0\n", "header repeats column '13.0'"),
+    ], ids=["non_number", "ragged", "repeated_frequency"])
+    def test_bad_map_cell_named_exit_4(self, tmp_path, capsys, content, where):
+        bad_map = tmp_path / "map.csv"
+        bad_map.write_text(content)
+        cfg = write_cfg(tmp_path, sweep_cfg(plot={"background_map": str(bad_map)}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad_map}") and where in err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("n_field", [2, 242], ids=["range", "block_mean"])
     def test_background_map_wider_than_float_range(self, tmp_path, n_field):
         # 242 field columns are averaged in blocks of 3 for the heat cells
@@ -268,6 +285,24 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and where in err and str(data) in err
         assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("row, where", [
+        ("0.32,1e200,20.0", "the squared frequencies overflow"),
+        ("1e307,13.6,20.0", "unstable at field_t = 1e+307 T"),
+    ], ids=["freq", "field"])
+    def test_overflowing_data_exit_4_no_outputs(self, tmp_path, capsys, row, where):
+        rows = (DATA / "n4_ridges.csv").read_text().splitlines()
+        rows[5] = row
+        data = tmp_path / "ridges.csv"
+        data.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")          # an overflow warning fails the test
+            assert main(["fit", "--config", str(write_cfg(tmp_path, self.fit_cfg(data))),
+                         "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: data file {data}") and where in err
         assert list(out.iterdir()) == []
 
     def test_repeated_ridge_header_exit_4_no_outputs(self, tmp_path, capsys):
@@ -619,6 +654,8 @@ class TestNonFiniteNumbers:
          "network.coupling=[[0, NaN], [NaN, 0]]", "network.coupling[0]"),
         ("estimate", json.loads((CONFIGS / "estimate_yig.json").read_text()),
          "estimate.cavity_freq_ghz=Infinity", "estimate.cavity_freq_ghz"),
+        ("estimate", json.loads((CONFIGS / "estimate_yig.json").read_text()),
+         "estimate.g_ghz=NaN", "estimate.g_ghz"),
     ])
     def test_non_finite_exit_2_no_outputs(self, tmp_path, capsys, command, doc, item, where):
         out = tmp_path / "out"

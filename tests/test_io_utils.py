@@ -4,7 +4,7 @@ import stat
 import pytest
 
 from magnon_hybrid.errors import DataError
-from magnon_hybrid.io_utils import read_csv_columns, write_text_atomic
+from magnon_hybrid.io_utils import read_csv_lines, write_json, write_text_atomic
 
 
 def mode(path):
@@ -48,9 +48,16 @@ class TestWriteTextAtomic:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "report.json.tmp"]
 
 
-class TestReadCsvColumns:
+class TestWriteJson:
+    def test_non_finite_number_raises_and_writes_nothing(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "a.json", {"x": [1.0, float("inf")]})
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestReadCsvLines:
     def test_repeated_header_names_file_and_column(self, tmp_path):
         path = tmp_path / "ridges.csv"
         path.write_text("field_t,field_t,freq_ghz\n0.4,0.5,13.0\n")
         with pytest.raises(DataError, match=f"{path}: header repeats column 'field_t'"):
-            read_csv_columns(path)
+            read_csv_lines(path)

@@ -142,6 +142,13 @@ class TestWgmOrder:
     def test_alternating_has_four_nodes(self):
         assert wgm_order(self._mode([1, -1, 1, -1])) == 4
 
+    def test_counts_the_label(self):
+        # a coarse zero threshold labels the detuned ring's top mode ↑↓0↓:
+        # two nodes, whatever the sign of its small third component
+        spec = solve_modes(perturb_symmetry(ring4(), 0.05), pattern_zero_tol=0.6)
+        top = spec.modes[-1]
+        assert (top.label, wgm_order(top)) == ("↑↓0↓", 2)
+
     def test_ring_order_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             wgm_order(self._mode([1, 0, -1, 0]), ring_order=[0, 1, 2])

@@ -258,6 +258,20 @@ class TestSpectralMapIO:
         with pytest.raises(DataError):
             load_ridge_csv(path)
 
+    def test_header_only_ridge_csv_is_empty(self, tmp_path):
+        path = tmp_path / "ridges.csv"
+        path.write_text("field_t,freq_ghz,prominence_db\n")
+        assert len(load_ridge_csv(path)) == 0
+
+    def test_branch_csv_read_as_ridges(self, tmp_path):
+        # the text stable column is not parsed; the unstable row's NaN drops it
+        path = tmp_path / "branches.csv"
+        path.write_text("field_t,branch_index,freq_ghz,magnon_fraction,stable\n"
+                        "0.40,0,nan,nan,false\n0.41,0,13.5,0.25,true\n")
+        points = load_ridge_csv(path)
+        assert (points.field_t.tolist(), points.freq_ghz.tolist(),
+                points.prominence_db.tolist()) == ([0.41], [13.5], [0.0])
+
     def test_grid_shape_validation(self):
         with pytest.raises(InvalidArgumentError):
             SpectralMap(np.array([0.1, 0.2]), np.array([1.0, 2.0]),
