@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 import time
 from pathlib import Path
@@ -84,10 +85,12 @@ def cmd_modes(cfg: dict, outdir: Path) -> list[Path]:
     return [json_path, csv_path]
 
 
-def _sweep_from_cfg(cfg: dict):
+def _sweep_from_cfg(cfg: dict, cells_per_field: int = 0):
     magnon = parse_magnon(require_key(cfg, "magnon", ""))
     model, kind = parse_model(require_key(cfg, "model", ""), magnon)
-    fields = parse_field_grid(require_key(cfg, "sweep", ""))
+    # a sweep holds one (N+1)x(N+1) matrix per field
+    fields = parse_field_grid(require_key(cfg, "sweep", ""),
+                              max(model.n_modes ** 2, cells_per_field))
     return model, kind, magnon, fields
 
 
@@ -123,8 +126,11 @@ def cmd_sweep(cfg: dict, outdir: Path) -> list[Path]:
 def cmd_synth(cfg: dict, outdir: Path) -> list[Path]:
     check_schema_version(cfg)
     check_keys(cfg, {"schema_version", "model", "magnon", "sweep", "freq", "noise"}, "")
-    model, _, magnon, fields = _sweep_from_cfg(cfg)
     freqs = parse_freq_grid(require_key(cfg, "freq", ""))
+    model, _, magnon, fields = _sweep_from_cfg(cfg, freqs.size)
+    with np.errstate(over="ignore"):     # each map line squares its half-width
+        if not np.isfinite(model.mode_linewidths_ghz ** 2).all():
+            raise ConfigError("a model or magnon linewidth is too large: its square overflows")
     smap = synth_map(model, magnon, fields, freqs)
     if "noise" in cfg:
         noise = cfg["noise"]
@@ -133,9 +139,12 @@ def cmd_synth(cfg: dict, outdir: Path) -> list[Path]:
                         nonnegative=True)
         seed = as_integer(require_key(noise, "seed", "noise"), "noise.seed", minimum=0)
         rng = np.random.default_rng(seed)
-        noisy = np.maximum(
-            smap.magnitude_db + rng.normal(0.0, sigma, smap.magnitude_db.shape),
-            FLOOR_DB)
+        with np.errstate(over="ignore"):
+            noisy = np.maximum(
+                smap.magnitude_db + rng.normal(0.0, sigma, smap.magnitude_db.shape),
+                FLOOR_DB)
+        if not np.isfinite(noisy).all():     # the map reader would reject it
+            raise ConfigError(f"noise.sigma_db = {sigma:g} makes the noisy map overflow")
         smap = SpectralMap(smap.field_t, smap.freq_ghz, noisy)
     csv_path = outdir / "map.csv"
     smap.to_csv(csv_path)
@@ -269,17 +278,24 @@ def cmd_estimate(cfg: dict, outdir: Path) -> list[Path]:
         "formula": "g = (gamma_rad/2) * sqrt(2*s*mu0*hbar*omega_c*n_s*xi) / (2*pi)",
         "warnings": warnings,
     }
+    try:    # a float power or a division by an underflowed zero raises
+        if mode == "coupling":
+            value = estimate_coupling(ensemble, cavity, magnon.gyro_ghz_per_t)
+        else:
+            value = estimate_filling(g_meas, ensemble, cavity, magnon.gyro_ghz_per_t)
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"estimate: the {mode} estimate is out of floating-point range")
     if mode == "coupling":
-        g_est = estimate_coupling(ensemble, cavity, magnon.gyro_ghz_per_t)
-        doc["g_est_ghz"] = g_est
-        print(f"g_est = {g_est:.6g} GHz")
+        doc["g_est_ghz"] = value
+        print(f"g_est = {value:.6g} GHz")
     else:
-        xi_est = estimate_filling(g_meas, ensemble, cavity, magnon.gyro_ghz_per_t)
         doc["inputs"]["g_ghz"] = g_meas
-        doc["filling_factor_est"] = xi_est
-        if xi_est > 1.0:
+        doc["filling_factor_est"] = value
+        if value > 1.0:
             doc["warnings"].append("estimated filling factor exceeds 1")
-        print(f"filling_factor_est = {xi_est:.6g}")
+        print(f"filling_factor_est = {value:.6g}")
     path = outdir / "estimate.json"
     write_json(path, doc)
     return [path]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidArgumentError
 from .hamiltonian import HybridModel, build_n4, build_n8
 from .magnon import MagnonMode, SpinEnsemble
 from .network import CavityNetwork, double_chain_network, ring_network
@@ -21,6 +21,9 @@ from .network import CavityNetwork, double_chain_network, ring_network
 SCHEMA_VERSION = 1
 
 _NUMBER = (int, float)
+
+#: most cells in any one array a config size builds (10**7 float64 cells are 80 MB)
+MAX_CELLS = 10**7
 
 
 def load_config(path, overrides=()) -> dict:
@@ -103,6 +106,13 @@ def as_integer(value, path: str, *, minimum=None) -> int:
     return value
 
 
+def check_cells(n: int, cells: int, path: str):
+    """Reject a size whose largest array would pass MAX_CELLS, before it is built."""
+    if cells > MAX_CELLS:
+        raise ConfigError(f"{path} = {n} needs an array of {cells} cells; "
+                          f"the limit is {MAX_CELLS}")
+
+
 def as_path(value, path: str) -> str:
     if not isinstance(value, str) or not value or "\x00" in value:
         raise ConfigError(f"{path} must be a file path")
@@ -142,8 +152,10 @@ def parse_network(doc: dict, path: str = "network") -> CavityNetwork:
             check_keys(doc, {"ring"}, path)
             blk = doc["ring"]
             check_keys(blk, {"n", "omega0_ghz", "kappa"}, f"{path}.ring")
+            n = as_integer(require_key(blk, "n", f"{path}.ring"), f"{path}.ring.n", minimum=2)
+            check_cells(n, n * n, f"{path}.ring.n")
             return ring_network(
-                as_integer(require_key(blk, "n", f"{path}.ring"), f"{path}.ring.n", minimum=2),
+                n,
                 as_number(require_key(blk, "omega0_ghz", f"{path}.ring"),
                                       f"{path}.ring.omega0_ghz", positive=True),
                 as_number(require_key(blk, "kappa", f"{path}.ring"), f"{path}.ring.kappa"))
@@ -166,9 +178,7 @@ def parse_network(doc: dict, path: str = "network") -> CavityNetwork:
         coupling = as_number_matrix(require_key(doc, "coupling", path), f"{path}.coupling", n)
         return CavityNetwork.from_dict(
             {"n_posts": n, "post_freq_ghz": freq, "coupling": coupling})
-    except ConfigError:
-        raise
-    except Exception as exc:   # invariant violations from the constructors
+    except InvalidArgumentError as exc:   # invariant violations from the constructors
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -238,18 +248,18 @@ def parse_model(doc: dict, magnon: MagnonMode, path: str = "model") -> tuple[Hyb
                 photon_linewidth_ghz=np.asarray(lw),
                 magnon_linewidth_ghz=magnon.linewidth_ghz)
             return model, "generic"
-    except ConfigError:
-        raise
-    except Exception as exc:
+    except InvalidArgumentError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path}.kind must be one of n4, n8, generic")
 
 
-def parse_field_grid(doc: dict, path: str = "sweep") -> np.ndarray:
+def parse_field_grid(doc: dict, cells_per_field: int, path: str = "sweep") -> np.ndarray:
+    """Field grid; ``cells_per_field`` is the largest array row one field adds."""
     check_keys(doc, {"field_min_t", "field_max_t", "n_field"}, path)
     lo = as_number(require_key(doc, "field_min_t", path), f"{path}.field_min_t")
     hi = as_number(require_key(doc, "field_max_t", path), f"{path}.field_max_t")
     n = as_integer(require_key(doc, "n_field", path), f"{path}.n_field", minimum=2)
+    check_cells(n, n * cells_per_field, f"{path}.n_field")
     if hi <= lo:
         raise ConfigError(f"{path}.field_max_t must exceed field_min_t")
     return np.linspace(lo, hi, n)
@@ -260,6 +270,7 @@ def parse_freq_grid(doc: dict, path: str = "freq") -> np.ndarray:
     lo = as_number(require_key(doc, "min_ghz", path), f"{path}.min_ghz")
     hi = as_number(require_key(doc, "max_ghz", path), f"{path}.max_ghz")
     n = as_integer(require_key(doc, "n", path), f"{path}.n", minimum=2)
+    check_cells(n, n, f"{path}.n")
     if hi <= lo:
         raise ConfigError(f"{path}.max_ghz must exceed min_ghz")
     return np.linspace(lo, hi, n)

@@ -150,42 +150,6 @@ class FitProblem:
     def n_free(self) -> int:
         return len(self.free)
 
-    def to_dict(self) -> dict:
-        return {
-            "field_t": self.field_t.tolist(),
-            "freq_ghz": self.freq_ghz.tolist(),
-            "model_kind": self.model_kind,
-            "template": self.template.to_dict(),
-            "magnon": {
-                "gyro_ghz_per_t": self.magnon.gyro_ghz_per_t,
-                "field_offset_t": self.magnon.field_offset_t,
-                "linewidth_ghz": self.magnon.linewidth_ghz,
-            },
-            "free": list(self.free),
-            "initial": {k: float(v) for k, v in self.initial.items()},
-            "bounds": {k: [float(lo), float(hi)] for k, (lo, hi) in self.bounds.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FitProblem":
-        try:
-            mag = doc["magnon"]
-            return cls(
-                field_t=np.asarray(doc["field_t"], dtype=float),
-                freq_ghz=np.asarray(doc["freq_ghz"], dtype=float),
-                model_kind=doc["model_kind"],
-                template=HybridModel.from_dict(doc["template"]),
-                magnon=MagnonMode(mag["gyro_ghz_per_t"],
-                                  mag.get("field_offset_t", 0.0),
-                                  mag.get("linewidth_ghz", 0.0)),
-                free=tuple(doc["free"]),
-                initial={k: float(v) for k, v in doc["initial"].items()},
-                bounds={k: (float(v[0]), float(v[1]))
-                        for k, v in doc.get("bounds", {}).items()},
-            )
-        except KeyError as exc:
-            raise InvalidArgumentError(f"fit problem document missing field: {exc}") from exc
-
 
 @dataclass
 class FitResult:
@@ -214,16 +178,6 @@ class FitResult:
             "converged": bool(self.converged),
             "fd_jacobians": int(self.fd_jacobians),
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FitResult":
-        return cls(param_names=tuple(doc["covariance_order"]),
-                   params=dict(doc["params"]),
-                   residual_rms=float(doc["residual_rms_ghz"]),
-                   covariance=np.asarray(doc["covariance"], dtype=float),
-                   n_iter=int(doc["n_iter"]),
-                   converged=bool(doc["converged"]),
-                   fd_jacobians=int(doc.get("fd_jacobians", 0)))
 
 
 def _bare_modes(problem: FitProblem, params: dict):

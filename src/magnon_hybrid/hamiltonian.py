@@ -118,30 +118,6 @@ class HybridModel:
     def with_magnon_freq(self, omega_m_ghz: float) -> "HybridModel":
         return replace(self, magnon_freq_ghz=float(omega_m_ghz))
 
-    def to_dict(self) -> dict:
-        return {
-            "photon_freq_ghz": self.photon_freq_ghz.tolist(),
-            "photon_coupling_ghz": self.photon_coupling_ghz.tolist(),
-            "magnon_freq_ghz": self.magnon_freq_ghz,
-            "magnon_coupling_ghz": self.magnon_coupling_ghz.tolist(),
-            "photon_linewidth_ghz": self.photon_linewidth_ghz.tolist(),
-            "magnon_linewidth_ghz": self.magnon_linewidth_ghz,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "HybridModel":
-        try:
-            return cls(
-                photon_freq_ghz=np.asarray(doc["photon_freq_ghz"], dtype=float),
-                photon_coupling_ghz=np.asarray(doc["photon_coupling_ghz"], dtype=float),
-                magnon_freq_ghz=float(doc["magnon_freq_ghz"]),
-                magnon_coupling_ghz=np.asarray(doc["magnon_coupling_ghz"], dtype=float),
-                photon_linewidth_ghz=np.asarray(doc["photon_linewidth_ghz"], dtype=float),
-                magnon_linewidth_ghz=float(doc.get("magnon_linewidth_ghz", 0.0)),
-            )
-        except KeyError as exc:
-            raise InvalidArgumentError(f"model document missing field: {exc}") from exc
-
 
 @dataclass(frozen=True)
 class PolaritonSet:
@@ -283,7 +259,7 @@ def _normal_modes(omega: np.ndarray, lam: np.ndarray):
     vecs (m, n, n) with ``vecs[p, k]`` the unit eigenvector e_k of
     S = Omega^1/2 (Omega + 2 Lambda) Omega^1/2 that branch k comes from, and
     the boolean mask of points whose bare frequencies are all positive and
-    finite and whose S is positive definite.  Unstable points are NaN in
+    finite and whose S is finite and positive definite.  Unstable points are NaN in
     freqs, fracs and vecs, never raised.
     """
     m, n = omega.shape
@@ -293,8 +269,12 @@ def _normal_modes(omega: np.ndarray, lam: np.ndarray):
     stable = (omega.min(axis=1) > 0.0) & (omega.max(axis=1) < np.inf)
     bare = omega[stable]
     root = np.sqrt(bare)
-    vmat = 2.0 * lam + bare[:, :, None] * np.eye(n)
-    w2, vecs = np.linalg.eigh(root[:, :, None] * vmat * root[:, None, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        vmat = 2.0 * lam + bare[:, :, None] * np.eye(n)
+        smat = root[:, :, None] * vmat * root[:, None, :]
+        if not np.isfinite(smat.sum()):   # an S past the float range counts as unstable
+            smat[~np.isfinite(smat).all(axis=(1, 2))] = 0.0
+    w2, vecs = np.linalg.eigh(smat)
     ok = w2[:, 0] > 0.0
     stable[stable] = ok
     w = np.sqrt(w2[ok])                               # (ms, branch k)

@@ -48,7 +48,6 @@ class SpinEnsemble:
     spin_density_per_m3: float
     spin_quantum: float = 2.5
     filling_factor: float = 1.0
-    sphere_diameter_m: float | None = None
 
     def __post_init__(self):
         if self.spin_density_per_m3 <= 0.0:

@@ -60,6 +60,10 @@ class CavityNetwork:
             raise InvalidArgumentError("coupling matrix must be symmetric (1e-12 relative)")
         if np.any(coup.diagonal() != 0.0):
             raise InvalidArgumentError("coupling diagonal entries must be exactly zero")
+        with np.errstate(over="ignore"):   # bounds every squared mode frequency
+            gershgorin = freq ** 2 + np.abs(coup).sum(axis=1)
+        if not np.isfinite(gershgorin).all():
+            raise InvalidArgumentError("squared post frequencies plus couplings overflow")
         coup = 0.5 * (coup + coup.T)
         np.fill_diagonal(coup, 0.0)
         freq.flags.writeable = False
@@ -281,7 +285,7 @@ def double_chain_network(omega0_ghz: float, kappa_chain: float,
     return CavityNetwork(np.full(8, float(omega0_ghz)), coup)
 
 
-def wgm_order(mode: CavityMode, ring_order: "list[int] | None" = None) -> int:
+def wgm_order(mode: CavityMode) -> int:
     """Node count of the mode's label read cyclically around the ring.
 
     Counts sign changes between ↑ and ↓ around the ring, with "0" posts
@@ -290,16 +294,9 @@ def wgm_order(mode: CavityMode, ring_order: "list[int] | None" = None) -> int:
     two-node doublet is order 2 in that labelling).  An all-zero label has
     zero nodes.
     """
-    n = len(mode.label)
-    if ring_order is None:
-        ring_order = list(range(n))
-    if len(ring_order) != n:
-        raise InvalidArgumentError("ring_order length must equal the number of posts")
-    if sorted(ring_order) != list(range(n)):
-        raise InvalidArgumentError("ring_order must be a permutation of the posts")
     # a "0" post copies its neighbour, so only changes between the active
     # posts, taken cyclically, are nodes
-    active = [mode.label[i] for i in ring_order if mode.label[i] != ZERO]
+    active = mode.label.replace(ZERO, "")
     return sum(a != b for a, b in zip(active, active[1:] + active[:1]))
 
 

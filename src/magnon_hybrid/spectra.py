@@ -22,7 +22,7 @@ from .errors import (
     NoPeakError,
 )
 from .hamiltonian import HybridModel, sweep
-from .io_utils import parse_row, read_csv_lines, write_json, write_rows
+from .io_utils import parse_row, read_csv_lines, write_rows
 # not called here: the benchmark's tracer patches this module's name for it
 from .io_utils import write_text_atomic  # noqa: F401
 from .magnon import MagnonMode
@@ -105,19 +105,6 @@ class SpectralMap:
             return cls(field, freq, mag)
         except InvalidArgumentError as exc:
             raise DataError(f"malformed map file {path}: {exc}") from exc
-
-    def to_json(self, path) -> None:
-        write_json(path, {
-            "field_t": self.field_t.tolist(),
-            "freq_ghz": self.freq_ghz.tolist(),
-            "magnitude_db": self.magnitude_db.tolist(),
-        })
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "SpectralMap":
-        return cls(np.asarray(doc["field_t"], dtype=float),
-                   np.asarray(doc["freq_ghz"], dtype=float),
-                   np.asarray(doc["magnitude_db"], dtype=float))
 
 
 @dataclass(frozen=True)

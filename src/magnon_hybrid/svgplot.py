@@ -14,6 +14,7 @@ import numpy as np
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 28.0, 44.0
+_WIDTH, _HEIGHT = 880, 560
 
 
 def _fmt(x: float) -> str:
@@ -79,8 +80,7 @@ def _downsample(bg: HeatBackground):
 
 
 def render_chart(*, series: list[Series], x_label: str, y_label: str,
-                 title: str = "", width: int = 880, height: int = 560,
-                 background: HeatBackground | None = None) -> str:
+                 title: str = "", background: HeatBackground | None = None) -> str:
     """Render series (and optional heat background) to an SVG string."""
     xs = [np.asarray(s.x, dtype=float) for s in series]
     ys = [np.asarray(s.y, dtype=float) for s in series]
@@ -98,8 +98,8 @@ def render_chart(*, series: list[Series], x_label: str, y_label: str,
     pad = 0.05 * (y_hi - y_lo) or 0.5
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    pw = width - _MARGIN_L - _MARGIN_R
-    ph = height - _MARGIN_T - _MARGIN_B
+    pw = _WIDTH - _MARGIN_L - _MARGIN_R
+    ph = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x):
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * pw
@@ -108,12 +108,12 @@ def render_chart(*, series: list[Series], x_label: str, y_label: str,
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * ph
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
     if title:
-        out.append(f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
+        out.append(f'<text x="{_WIDTH / 2:.1f}" y="18" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="13">{title}</text>')
 
     if background is not None:
@@ -148,7 +148,7 @@ def render_chart(*, series: list[Series], x_label: str, y_label: str,
                    f'y2="{py(t):.2f}" stroke="#333333"/>')
         out.append(f'<text x="{_MARGIN_L - 8:.1f}" y="{py(t) + 4:.2f}" text-anchor="end" '
                    f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>')
-    out.append(f'<text x="{_MARGIN_L + pw / 2:.1f}" y="{height - 8:.1f}" '
+    out.append(f'<text x="{_MARGIN_L + pw / 2:.1f}" y="{_HEIGHT - 8:.1f}" '
                f'text-anchor="middle" font-family="sans-serif" font-size="12">{x_label}</text>')
     out.append(f'<text x="14" y="{_MARGIN_T + ph / 2:.1f}" text-anchor="middle" '
                f'font-family="sans-serif" font-size="12" '

@@ -695,3 +695,121 @@ class TestEntryPoint:
         points = load_ridge_csv(DATA / "n4_ridges.csv")
         assert len(points) > 100
         assert points.field_t.min() >= 0.32 and points.field_t.max() <= 0.62
+
+
+class TestOverflowAndSizeLimits:
+    # finite config numbers whose results overflow, and sizes past the cell
+    # limit; every size here is one no machine could allocate
+    @pytest.mark.parametrize("command, config, items, message", [
+        ("estimate", "estimate_yig", ["estimate.mode=filling", "estimate.g_ghz=1e200"],
+         "estimate: the filling estimate is out of floating-point range"),
+        ("estimate", "estimate_yig", ["estimate.cavity_freq_ghz=1e300"],
+         "estimate: the coupling estimate is out of floating-point range"),
+        ("modes", "modes_ring4", ["network.ring.omega0_ghz=1e200"],
+         "network: squared post frequencies plus couplings overflow"),
+        ("modes", "modes_ring4", ["network.ring.kappa=1e308"],
+         "network: squared post frequencies plus couplings overflow"),
+        ("synth", "synth_n4", ['noise={"sigma_db": 1e308, "seed": 1}'],
+         "noise.sigma_db = 1e+308 makes the noisy map overflow"),
+        ("synth", "synth_n8", ["model.photon_linewidth_ghz=[0.036, 1e308, 0.016]"],
+         "a model or magnon linewidth is too large: its square overflows"),
+        ("synth", "synth_n8", ["magnon.linewidth_ghz=1e200"],
+         "a model or magnon linewidth is too large: its square overflows"),
+        ("sweep", "sweep_n4", [f"sweep.n_field={10**15}"],
+         f"sweep.n_field = {10**15} needs an array of {9 * 10**15} cells; "
+         "the limit is 10000000"),
+        ("synth", "synth_n4", [f"sweep.n_field={10**15}"],
+         f"sweep.n_field = {10**15} needs an array of {2000 * 10**15} cells; "
+         "the limit is 10000000"),
+        ("synth", "synth_n8", [f"freq.n={10**15}"],
+         f"freq.n = {10**15} needs an array of {10**15} cells; the limit is 10000000"),
+        ("modes", "modes_ring4", [f"network.ring.n={10**8}"],
+         f"network.ring.n = {10**8} needs an array of {10**16} cells; "
+         "the limit is 10000000"),
+    ], ids=["filling_g", "coupling_cavity", "ring_omega0", "ring_kappa", "noise_sigma",
+            "photon_linewidth", "magnon_linewidth", "sweep_n_field", "synth_n_field",
+            "synth_freq_n", "ring_n"])
+    def test_exit_2_no_outputs(self, tmp_path, command, config, items, message):
+        out = tmp_path / "out"
+        argv = [command, "--config", str(CONFIGS / f"{config}.json"), "--out", str(out)]
+        for item in items:
+            argv += ["--set", item]
+        code, err = run_cli(argv)
+        assert (code, err) == (2, f"config error: {message}\n")
+        assert list(out.iterdir()) == []
+
+    def test_overflowing_sweep_matrix_is_unstable_exit_3(self, tmp_path):
+        out = tmp_path / "out"
+        code, err = run_cli(["sweep", "--config", str(CONFIGS / "sweep_n4.json"),
+                             "--set", "model.g_ghz=1e308", "--out", str(out)])
+        assert (code, err) == (3, "sweep error: every sweep point is Bogoliubov-unstable\n")
+        assert list(out.iterdir()) == []
+
+
+_SIZE_KEYS = {"network.ring.n", "sweep.n_field", "freq.n"}
+_extreme = st.sampled_from([1e200, -1e200, 1e308, -1e308, 1e-300, 5e-324, 0, -1,
+                            10**400, -10**400, 2**64])
+_value = (_extreme | st.floats() | st.integers() | st.none() | st.booleans()
+          | st.text(max_size=4) | st.lists(st.floats() | _extreme, max_size=4))
+# a fuzzed size is either small or far past the cell limit, never one
+# that would be allocated at length
+_size = (st.integers(-2, 40) | st.integers(10**12, 10**400)
+         | st.sampled_from([1e200, 8.0, "8", None, [8]]))
+_FUZZ_KEYS = {
+    "modes": ("modes_ring4", ["network.ring.n", "network.ring.omega0_ghz",
+                              "network.ring.kappa", "pattern_zero_tol"]),
+    "sweep": ("sweep_n4", ["model.omega_c_ghz", "model.g_rl_ghz", "model.g_ghz",
+                           "model.photon_linewidth_ghz", "magnon.gyro_ghz_per_t",
+                           "magnon.field_offset_t", "magnon.linewidth_ghz",
+                           "sweep.field_min_t", "sweep.field_max_t", "sweep.n_field"]),
+    "synth": ("synth_n8", ["model.omega_c_ghz", "model.g_ghz", "model.photon_linewidth_ghz",
+                           "magnon.gyro_ghz_per_t", "magnon.linewidth_ghz",
+                           "sweep.field_min_t", "sweep.n_field", "freq.min_ghz",
+                           "freq.max_ghz", "freq.n", "noise.sigma_db", "noise.seed"]),
+    "estimate": ("estimate_yig", ["material.gyro_ghz_per_t", "material.field_offset_t",
+                                  "material.spin_density_per_m3", "material.spin_quantum",
+                                  "material.filling_factor", "estimate.cavity_freq_ghz",
+                                  "estimate.mode", "estimate.g_ghz"]),
+}
+_OUTPUTS = {"modes": ["modes.csv", "modes.json"], "sweep": ["branches.csv", "branches.svg"],
+            "synth": ["map.csv"], "estimate": ["estimate.json"]}
+
+
+def _no_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+class TestCommandConfigFuzz:
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    @pytest.mark.parametrize("command", list(_FUZZ_KEYS))
+    def test_mutated_config_exits_cleanly(self, command, data):
+        config, keys = _FUZZ_KEYS[command]
+        doc = json.loads((CONFIGS / f"{config}.json").read_text())
+        if command == "synth":   # a small grid keeps each run short
+            doc["sweep"]["n_field"], doc["freq"]["n"] = 24, 300
+            doc["noise"] = {"sigma_db": 0.5, "seed": 1}
+        if command == "estimate":
+            doc["estimate"].update(mode=data.draw(st.sampled_from(["coupling", "filling"])),
+                                   g_ghz=1.84)
+        key = data.draw(st.sampled_from(keys))
+        *blocks, name = key.split(".")
+        node = doc
+        for block in blocks:
+            node = node[block]
+        node[name] = data.draw(_size if key in _SIZE_KEYS else _value)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            code, err = run_cli([command, "--config", str(write_cfg(Path(tmp), doc)),
+                                 "--out", str(out)])
+            assert code in (0, 2, 3, 4), err
+            assert "Traceback" not in err
+            written = sorted(p.name for p in out.iterdir())
+            if code != 0:
+                assert written == [], err
+            else:
+                assert written == sorted(_OUTPUTS[command] + ["run_report.json"])
+            if command == "synth" and code == 0:    # the map reads back
+                SpectralMap.from_csv(out / "map.csv")
+            for path in out.glob("*.json"):
+                json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)

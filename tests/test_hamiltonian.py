@@ -72,14 +72,6 @@ class TestBuilders:
         with pytest.raises(InvalidArgumentError):
             build_n4(*args)
 
-    def test_model_json_round_trip(self):
-        m = build_n8(11.20, 12.20, 13.65, 0.59, 0.73, 0.685, 12.0,
-                     photon_linewidth_ghz=(0.036, 0.015, 0.016),
-                     magnon_linewidth_ghz=0.001)
-        clone = HybridModel.from_dict(m.to_dict())
-        np.testing.assert_array_equal(clone.magnon_coupling_ghz, m.magnon_coupling_ghz)
-        assert clone.magnon_linewidth_ghz == m.magnon_linewidth_ghz
-
 
 class TestEigenFull:
     def test_two_mode_resonant_closed_form(self):

@@ -149,14 +149,6 @@ class TestWgmOrder:
         top = spec.modes[-1]
         assert (top.label, wgm_order(top)) == ("↑↓0↓", 2)
 
-    def test_ring_order_mismatch(self):
-        with pytest.raises(InvalidArgumentError):
-            wgm_order(self._mode([1, 0, -1, 0]), ring_order=[0, 1, 2])
-
-    def test_ring_order_permutation_required(self):
-        with pytest.raises(InvalidArgumentError):
-            wgm_order(self._mode([1, 0, -1, 0]), ring_order=[0, 0, 1, 2])
-
 
 class TestPerturbSymmetry:
     def test_zero_epsilon_is_identity(self):

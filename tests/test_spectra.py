@@ -238,14 +238,6 @@ class TestSpectralMapIO:
         np.testing.assert_allclose(back.freq_ghz, smap.freq_ghz, rtol=1e-8)
         np.testing.assert_allclose(back.magnitude_db, smap.magnitude_db, rtol=1e-8)
 
-    def test_json_round_trip(self, tmp_path):
-        import json
-        smap = self.make_map()
-        path = tmp_path / "map.json"
-        smap.to_json(path)
-        back = SpectralMap.from_json_dict(json.loads(path.read_text()))
-        np.testing.assert_allclose(back.magnitude_db, smap.magnitude_db, rtol=1e-12)
-
     def test_malformed_csv_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("field_t,1.0,2.0\n0.1,not_a_number,3\n")
