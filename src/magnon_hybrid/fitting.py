@@ -22,7 +22,7 @@ halved, because a bare "g = x GHz" leaves the 2*pi/pi convention open.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -448,17 +448,7 @@ class PairRegime:
     superstrong: bool | None
 
     def to_dict(self) -> dict:
-        return {
-            "mode_index": self.mode_index,
-            "coupling_ghz": self.coupling_ghz,
-            "mode_freq_ghz": self.mode_freq_ghz,
-            "fsr_ghz": self.fsr_ghz,
-            "magnon_linewidth_ghz": self.magnon_linewidth_ghz,
-            "photon_linewidth_ghz": self.photon_linewidth_ghz,
-            "strong": self.strong,
-            "ultrastrong": self.ultrastrong,
-            "superstrong": self.superstrong,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -215,8 +215,6 @@ def build_n4(omega_c_ghz: float, g_rl_ghz: float, g_ghz: float, omega_m_ghz: flo
              magnon_linewidth_ghz: float = 0.0) -> HybridModel:
     """Doublet cavity model: two photon modes at ``omega_c`` mixed by
     ``g_rl``, with the magnon coupled to mode 0 only (mode 1 stays dark)."""
-    if omega_c_ghz <= 0.0 or omega_m_ghz <= 0.0:
-        raise InvalidArgumentError("mode frequencies must be positive")
     return HybridModel(
         photon_freq_ghz=np.array([omega_c_ghz, omega_c_ghz]),
         photon_coupling_ghz=np.array([[0.0, g_rl_ghz], [g_rl_ghz, 0.0]]),
@@ -232,11 +230,8 @@ def build_n8(omega_c1_ghz: float, omega_c2_ghz: float, omega_c3_ghz: float,
              *, photon_linewidth_ghz=(0.0, 0.0, 0.0),
              magnon_linewidth_ghz: float = 0.0) -> HybridModel:
     """Three uncoupled photon modes, each coupled to the one magnon mode."""
-    freqs = (omega_c1_ghz, omega_c2_ghz, omega_c3_ghz)
-    if any(f <= 0.0 for f in freqs) or omega_m_ghz <= 0.0:
-        raise InvalidArgumentError("mode frequencies must be positive")
     return HybridModel(
-        photon_freq_ghz=np.array(freqs),
+        photon_freq_ghz=np.array([omega_c1_ghz, omega_c2_ghz, omega_c3_ghz]),
         photon_coupling_ghz=np.zeros((3, 3)),
         magnon_freq_ghz=omega_m_ghz,
         magnon_coupling_ghz=np.array([g1_ghz, g2_ghz, g3_ghz]),
@@ -381,12 +376,14 @@ def fock_oracle(model: HybridModel, n_max: int) -> np.ndarray:
     """Single-polariton transition frequencies from a truncated Fock basis.
 
     Independent brute-force check on :func:`eigen_full`: the Hamiltonian is
-    assembled in the product Fock basis with n_max + 1 levels per mode and
-    diagonalised exactly.  Because every term changes total occupation by 0
-    or +/-2, parity is conserved; the ground state lives in the even sector
-    and the single-polariton states are the lowest odd-sector levels.  The
-    odd levels kept are those actually connected to the ground state by a
-    (a_i + a_i^dag) matrix element, which filters out three-polariton states.
+    assembled in the product Fock basis and restricted to the states with at
+    most n_max quanta in total (the excitation-number-restricted space).
+    Because every term changes total occupation by 0 or +/-2, parity is
+    conserved; each parity sector is solved with one Lanczos run.  The ground
+    state lives in the even sector and the single-polariton states are the
+    lowest odd-sector levels.  The odd levels kept are those actually
+    connected to the ground state by a (a_i + a_i^dag) matrix element, which
+    filters out three-polariton states.
 
     Returns the N+1 transition energies sorted ascending, converging to
     ``eigen_full(model).frequencies_ghz`` as n_max grows.
@@ -431,24 +428,20 @@ def fock_oracle(model: HybridModel, n_max: int) -> np.ndarray:
     for j in range(n_modes):
         stride = d ** (n_modes - 1 - j)
         total_occ += (idx // stride) % d
-    even = np.nonzero(total_occ % 2 == 0)[0]
-    odd = np.nonzero(total_occ % 2 == 1)[0]
-    h_even = ham[even][:, even]
-    h_odd = ham[odd][:, odd]
+    kept = total_occ <= n_max
+    even = np.nonzero(kept & (total_occ % 2 == 0))[0]
+    odd = np.nonzero(kept & (total_occ % 2 == 1))[0]
 
-    k_odd = min(n_modes + 4, h_odd.shape[0] - 2)
-    if h_even.shape[0] <= 1500:
-        ev_e, vec_e = np.linalg.eigh(h_even.toarray())
-        ev_o, vec_o = np.linalg.eigh(h_odd.toarray())
-        ev_o, vec_o = ev_o[:k_odd], vec_o[:, :k_odd]
-    else:
-        v0e = np.full(h_even.shape[0], 1.0 / np.sqrt(h_even.shape[0]))
-        ev_e, vec_e = eigsh(h_even, k=1, which="SA", v0=v0e, tol=1e-10)
-        v0o = np.full(h_odd.shape[0], 1.0 / np.sqrt(h_odd.shape[0]))
-        ev_o, vec_o = eigsh(h_odd, k=k_odd, which="SA", v0=v0o,
-                            ncv=max(48, 4 * k_odd), tol=1e-10)
-        order = np.argsort(ev_o)
-        ev_o, vec_o = ev_o[order], vec_o[:, order]
+    def lowest(sector, k):
+        h = ham[sector][:, sector]
+        v0 = np.full(sector.size, 1.0 / np.sqrt(sector.size))
+        ev, vec = eigsh(h, k=k, which="SA", v0=v0, ncv=min(max(48, 4 * k), sector.size),
+                        tol=1e-10)
+        order = np.argsort(ev)
+        return ev[order], vec[:, order]
+
+    ev_e, vec_e = lowest(even, 1)
+    ev_o, vec_o = lowest(odd, min(n_modes + 4, odd.size - 2))
     e0 = ev_e[0]
     gs = np.zeros(dim)
     gs[even] = vec_e[:, 0]

@@ -69,7 +69,10 @@ def magnon_frequency(mode: MagnonMode, field_t):
     if np.any(field < mode.field_offset_t):
         raise InvalidArgumentError(
             f"field below offset {mode.field_offset_t} T gives a negative magnon frequency")
-    out = mode.gyro_ghz_per_t * (field - mode.field_offset_t)
+    # a field past the float range gives an infinite frequency, which the
+    # normal-mode solve flags as an unstable point
+    with np.errstate(over="ignore"):
+        out = mode.gyro_ghz_per_t * (field - mode.field_offset_t)
     return float(out) if np.isscalar(field_t) else out
 
 

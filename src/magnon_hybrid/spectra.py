@@ -47,9 +47,8 @@ class LorentzianLine:
 
 def lorentzian_value(f_ghz, line: LorentzianLine):
     """Linear-power value of the line at frequency ``f_ghz`` (scalar or array)."""
-    half = 0.5 * line.fwhm_ghz
-    f = np.asarray(f_ghz, dtype=float)
-    out = line.amplitude * half ** 2 / ((f - line.center_ghz) ** 2 + half ** 2)
+    out = _lorentz_power(np.asarray(f_ghz, dtype=float), line.amplitude, line.center_ghz,
+                         line.fwhm_ghz)
     return float(out) if np.isscalar(f_ghz) else out
 
 
@@ -162,15 +161,17 @@ def synth_map(model: HybridModel, magnon: MagnonMode, fields_t, freqs_ghz) -> Sp
     amps[bad, n_ph:] = 0.0
 
     ok = np.isfinite(centers) & (widths > 0.0) & (amps > 0.0)
-    half = np.where(ok, 0.5 * widths, 1.0)
+    fwhm = np.where(ok, widths, 2.0)
     amp = np.where(ok, amps, 0.0)
     cen = np.where(ok, centers, 0.0)
 
     power = np.zeros((freqs.size, m))
-    # accumulate branch by branch to keep the broadcast buffers small
-    for k in range(nb):
-        det = freqs[:, None] - cen[None, :, k]
-        power += amp[None, :, k] * half[None, :, k] ** 2 / (det ** 2 + half[None, :, k] ** 2)
+    # accumulate branch by branch to keep the broadcast buffers small; a
+    # squared detuning past the float range is infinite and adds an exact 0
+    with np.errstate(over="ignore"):
+        for k in range(nb):
+            power += _lorentz_power(freqs[:, None], amp[None, :, k], cen[None, :, k],
+                                    fwhm[None, :, k])
 
     floor_power = 10.0 ** (FLOOR_DB / 10.0)
     mag = 10.0 * np.log10(np.maximum(power, floor_power))

@@ -738,6 +738,25 @@ class TestOverflowAndSizeLimits:
         assert (code, err) == (2, f"config error: {message}\n")
         assert list(out.iterdir()) == []
 
+    # numbers whose overflow numpy handles correctly: an infinite magnon
+    # frequency is an unstable point, an infinite detuning adds no power
+    @pytest.mark.parametrize("command, config, item", [
+        ("sweep", "sweep_n4", "sweep.field_max_t=1e308"),
+        ("synth", "synth_n8", "freq.max_ghz=1e308"),
+        ("synth", "synth_n8", "model.omega_c_ghz=[1e200,1e200,1e200]"),
+    ], ids=["sweep_field_max", "synth_freq_max", "synth_omega_c"])
+    def test_overflow_exits_0_without_warnings(self, tmp_path, command, config, item):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = run_cli([command, "--config", str(CONFIGS / f"{config}.json"),
+                                 "--set", item, "--out", str(out)])
+        assert code == 0, err
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            _OUTPUTS[command] + ["run_report.json"])
+        if command == "synth":
+            SpectralMap.from_csv(out / "map.csv")
+
     def test_overflowing_sweep_matrix_is_unstable_exit_3(self, tmp_path):
         out = tmp_path / "out"
         code, err = run_cli(["sweep", "--config", str(CONFIGS / "sweep_n4.json"),

@@ -262,7 +262,7 @@ class TestFockOracle:
     def test_oracle_equivalence_sample(self):
         rng = np.random.default_rng(42)
         for _ in range(8):
-            model = random_stable_model(rng, n_max_modes=2)
+            model = random_stable_model(rng)
             full = eigen_full(model).frequencies_ghz
             tr = fock_oracle(model, 14)
             assert np.abs(tr - full).max() < 2e-3
