@@ -55,7 +55,7 @@ from .fitting import (
 )
 from .hamiltonian import sweep
 from .io_utils import write_json, write_rows, write_text_atomic
-from .magnon import estimate_coupling, estimate_filling
+from .magnon import estimate_coupling, estimate_filling, magnon_frequency
 from .network import solve_modes, wgm_order
 from .spectra import FLOOR_DB, SpectralMap, load_ridge_csv, synth_map
 from .svgplot import HeatBackground, Series, render_chart
@@ -108,6 +108,13 @@ def cmd_sweep(cfg: dict, outdir: Path) -> list[Path]:
                                     values=smap.magnitude_db)
     branches = sweep(model, magnon, fields)
     if not branches.stable_mask.any():
+        # the solve squares each bare frequency; past the float range a
+        # point cannot be solved, which says nothing about its stability
+        with np.errstate(over="ignore"):
+            squares = np.append(model.photon_freq_ghz, magnon_frequency(magnon, fields)) ** 2
+        if not np.isfinite(squares).all():
+            raise ConfigError("a mode frequency is past the float range: its square "
+                              "overflows, so no sweep point can be solved")
         raise AllUnstableError("every sweep point is Bogoliubov-unstable")
 
     csv_path = outdir / "branches.csv"

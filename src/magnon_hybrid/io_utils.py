@@ -1,5 +1,10 @@
 """Small file helpers: atomic writes, canonical JSON, and the package's one
-CSV codec (:func:`write_rows`; :func:`read_csv_lines` with :func:`parse_row`)."""
+CSV codec (:func:`write_rows`; :func:`read_csv_lines` with :func:`parse_rows`).
+
+A row of numbers is formatted by one printf string and the body of a file is
+parsed in one ``np.loadtxt`` pass; :func:`parse_row`, the per-line parser,
+runs only to name a bad line or cell (or for a cell that ``float`` accepts
+and ``loadtxt`` does not, such as ``1_0``)."""
 
 from __future__ import annotations
 
@@ -13,7 +18,8 @@ import numpy as np
 
 from .errors import DataError
 
-#: a number cell: 9 significant digits, so an int below 1e9 keeps all of them
+#: a number cell: 9 significant digits, so an int below 1e9 keeps all of them;
+#: ``"%.9g" % x`` gives the same text, a whole row at a time
 _num_cell = "{:.9g}".format
 
 
@@ -48,15 +54,21 @@ def write_text_atomic(path, text: str) -> None:
 def write_rows(path, rows) -> None:
     """CSV with 9-significant-digit numbers, '.' decimal separator, LF endings.
 
-    ``rows`` is any iterable; text cells (names, labels, "true"/"false")
-    are written as they are.
+    ``rows`` is any iterable of rows; text cells (names, labels,
+    "true"/"false") are written as they are.
     """
+    formats = {}                         # row length -> "%.9g,...,%.9g\n"
+
     def line(row):
+        row = tuple(row)
+        fmt = formats.get(len(row))
+        if fmt is None:
+            fmt = formats[len(row)] = ",".join(["%.9g"] * len(row)) + "\n"
         try:
-            return ",".join(map(_num_cell, row))
-        except ValueError:               # the row holds text cells
-            return ",".join([c if isinstance(c, str) else _num_cell(c) for c in row])
-    write_text_atomic(path, "".join([line(row) + "\n" for row in rows]))
+            return fmt % row
+        except (TypeError, ValueError):  # the row holds text cells
+            return ",".join([c if isinstance(c, str) else _num_cell(c) for c in row]) + "\n"
+    write_text_atomic(path, "".join(map(line, rows)))
 
 
 def write_json(path, doc) -> None:
@@ -107,3 +119,26 @@ def parse_row(path, names, no: int, line: str, columns=None) -> np.ndarray:
         except ValueError:
             raise DataError(f"{path}, line {no}: {names[i]} {cells[i].strip()!r} "
                             "is not a number") from None
+
+
+def parse_rows(path, names, lines, columns=None) -> np.ndarray:
+    """The ``(line number, text)`` pairs of ``lines`` as one float array,
+    one row per line, holding the cells at ``columns`` (default: all).
+
+    Raises the :class:`DataError` :func:`parse_row` gives for the first bad
+    line.  The lines are parsed in one ``np.loadtxt`` pass; the per-line
+    parser runs only when that pass fails.
+    """
+    lines = list(lines)
+    texts = [text for _, text in lines]
+    # loadtxt lets the cell count vary outside ``columns``, strips U+001F
+    # around a cell where float() refuses it, and warns on no lines
+    commas = len(names) - 1
+    if texts and all(text.count(",") == commas and "\x1f" not in text for text in texts):
+        try:
+            return np.loadtxt(texts, delimiter=",", comments=None, usecols=columns, ndmin=2)
+        except ValueError:
+            pass
+    width = len(names) if columns is None else len(columns)
+    return np.array([parse_row(path, names, no, text, columns)
+                     for no, text in lines]).reshape(-1, width)

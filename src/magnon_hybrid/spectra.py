@@ -22,7 +22,7 @@ from .errors import (
     NoPeakError,
 )
 from .hamiltonian import HybridModel, sweep
-from .io_utils import parse_row, read_csv_lines, write_rows
+from .io_utils import parse_rows, read_csv_lines, write_rows
 # not called here: the benchmark's tracer patches this module's name for it
 from .io_utils import write_text_atomic  # noqa: F401
 from .magnon import MagnonMode
@@ -91,12 +91,11 @@ class SpectralMap:
         """Read a map written by :meth:`to_csv`; DataError if it is unreadable,
         malformed, not finite, or has an axis that is not strictly increasing."""
         (head_no, header), lines = read_csv_lines(path)
-        freq = parse_row(path, ["frequency"] * len(header), head_no, ",".join(header),
-                         range(1, len(header)))
-        rows = [parse_row(path, header, no, line) for no, line in lines]
-        if not rows:
+        freq = parse_rows(path, ["frequency"] * len(header), [(head_no, ",".join(header))],
+                          range(1, len(header)))[0]
+        rows = parse_rows(path, header, lines)
+        if not len(rows):
             raise DataError(f"map file {path} has no data rows")
-        rows = np.array(rows)
         field, mag = rows[:, 0], rows[:, 1:].T
         if not (np.isfinite(freq).all() and np.isfinite(rows).all()):
             raise DataError(f"map file {path} holds a non-finite axis value or cell")
@@ -270,8 +269,7 @@ def load_ridge_csv(path) -> RidgePoints:
         raise DataError(f"data file {path} must have field_t and freq_ghz columns")
     columns = [header.index(name) for name in ("field_t", "freq_ghz", "prominence_db")
                if name in header]
-    rows = np.array([parse_row(path, header, no, line, columns) for no, line in lines])
-    rows = rows.reshape(-1, len(columns))
+    rows = parse_rows(path, header, lines, columns)
     rows = rows[np.isfinite(rows[:, :2]).all(axis=1)]
     prom = rows[:, 2] if len(columns) == 3 else np.zeros(len(rows))
     return RidgePoints(rows[:, 0], rows[:, 1], prom)

@@ -726,9 +726,16 @@ class TestOverflowAndSizeLimits:
         ("modes", "modes_ring4", [f"network.ring.n={10**8}"],
          f"network.ring.n = {10**8} needs an array of {10**16} cells; "
          "the limit is 10000000"),
+        # stable (omega_c omega_m >> 4 g^2), but the solve squares omega_c
+        ("sweep", "sweep_n4", ["model.omega_c_ghz=1e200"],
+         "a mode frequency is past the float range: its square overflows, "
+         "so no sweep point can be solved"),
+        ("sweep", "sweep_n4", ["sweep.field_min_t=1e307", "sweep.field_max_t=1e308"],
+         "a mode frequency is past the float range: its square overflows, "
+         "so no sweep point can be solved"),
     ], ids=["filling_g", "coupling_cavity", "ring_omega0", "ring_kappa", "noise_sigma",
             "photon_linewidth", "magnon_linewidth", "sweep_n_field", "synth_n_field",
-            "synth_freq_n", "ring_n"])
+            "synth_freq_n", "ring_n", "sweep_omega_c", "sweep_fields"])
     def test_exit_2_no_outputs(self, tmp_path, command, config, items, message):
         out = tmp_path / "out"
         argv = [command, "--config", str(CONFIGS / f"{config}.json"), "--out", str(out)]
@@ -761,6 +768,14 @@ class TestOverflowAndSizeLimits:
         out = tmp_path / "out"
         code, err = run_cli(["sweep", "--config", str(CONFIGS / "sweep_n4.json"),
                              "--set", "model.g_ghz=1e308", "--out", str(out)])
+        assert (code, err) == (3, "sweep error: every sweep point is Bogoliubov-unstable\n")
+        assert list(out.iterdir()) == []
+
+    def test_unstable_at_every_field_exit_3(self, tmp_path):
+        # omega_c omega_m < 4 g^2 at every field, all numbers well in range
+        out = tmp_path / "out"
+        code, err = run_cli(["sweep", "--config", str(CONFIGS / "sweep_n4.json"),
+                             "--set", "model.g_ghz=40", "--out", str(out)])
         assert (code, err) == (3, "sweep error: every sweep point is Bogoliubov-unstable\n")
         assert list(out.iterdir()) == []
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,10 +252,13 @@ class TestSpectralMapIO:
         with pytest.raises(DataError):
             load_ridge_csv(path)
 
-    def test_header_only_ridge_csv_is_empty(self, tmp_path):
+    def test_header_only_ridge_csv_is_empty(self, tmp_path, capfd):
         path = tmp_path / "ridges.csv"
         path.write_text("field_t,freq_ghz,prominence_db\n")
-        assert len(load_ridge_csv(path)) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # numpy warns on parsing no lines
+            assert len(load_ridge_csv(path)) == 0
+        assert capfd.readouterr() == ("", "")
 
     def test_branch_csv_read_as_ridges(self, tmp_path):
         # the text stable column is not parsed; the unstable row's NaN drops it
