@@ -111,8 +111,9 @@ def cmd_sweep(cfg: dict, outdir: Path) -> list[Path]:
         # the solve squares each bare frequency; past the float range a
         # point cannot be solved, which says nothing about its stability
         with np.errstate(over="ignore"):
-            squares = np.append(model.photon_freq_ghz, magnon_frequency(magnon, fields)) ** 2
-        if not np.isfinite(squares).all():
+            photons = np.isfinite(model.photon_freq_ghz ** 2).all()
+            magnons = np.isfinite(magnon_frequency(magnon, fields) ** 2)
+        if not (photons and magnons.any()):
             raise ConfigError("a mode frequency is past the float range: its square "
                               "overflows, so no sweep point can be solved")
         raise AllUnstableError("every sweep point is Bogoliubov-unstable")

@@ -57,15 +57,10 @@ def write_rows(path, rows) -> None:
     ``rows`` is any iterable of rows; text cells (names, labels,
     "true"/"false") are written as they are.
     """
-    formats = {}                         # row length -> "%.9g,...,%.9g\n"
-
     def line(row):
         row = tuple(row)
-        fmt = formats.get(len(row))
-        if fmt is None:
-            fmt = formats[len(row)] = ",".join(["%.9g"] * len(row)) + "\n"
         try:
-            return fmt % row
+            return (",".join(["%.9g"] * len(row)) + "\n") % row
         except (TypeError, ValueError):  # the row holds text cells
             return ",".join([c if isinstance(c, str) else _num_cell(c) for c in row]) + "\n"
     write_text_atomic(path, "".join(map(line, rows)))
@@ -132,13 +127,15 @@ def parse_rows(path, names, lines, columns=None) -> np.ndarray:
     lines = list(lines)
     texts = [text for _, text in lines]
     # loadtxt lets the cell count vary outside ``columns``, strips U+001F
-    # around a cell where float() refuses it, and warns on no lines
+    # around a cell where float() refuses it, skips an empty line (the header
+    # of an empty file) and warns when no line is left
     commas = len(names) - 1
-    if texts and all(text.count(",") == commas and "\x1f" not in text for text in texts):
+    if texts and all(text and text.count(",") == commas and "\x1f" not in text
+                     for text in texts):
         try:
             return np.loadtxt(texts, delimiter=",", comments=None, usecols=columns, ndmin=2)
         except ValueError:
             pass
     width = len(names) if columns is None else len(columns)
     return np.array([parse_row(path, names, no, text, columns)
-                     for no, text in lines]).reshape(-1, width)
+                     for no, text in lines]).reshape(len(lines), width)

@@ -771,11 +771,19 @@ class TestOverflowAndSizeLimits:
         assert (code, err) == (3, "sweep error: every sweep point is Bogoliubov-unstable\n")
         assert list(out.iterdir()) == []
 
-    def test_unstable_at_every_field_exit_3(self, tmp_path):
-        # omega_c omega_m < 4 g^2 at every field, all numbers well in range
+    @pytest.mark.parametrize("items", [
+        ["model.g_ghz=40"],
+        # the magnon square overflows at every field but 0.3 T, which is
+        # solved and found unstable
+        ["model.g_ghz=40", "sweep.field_max_t=1e308"],
+    ], ids=["in_range", "top_field_overflows"])
+    def test_unstable_at_every_field_exit_3(self, tmp_path, items):
+        # omega_c omega_m < 4 g^2 at every field that can be solved
         out = tmp_path / "out"
-        code, err = run_cli(["sweep", "--config", str(CONFIGS / "sweep_n4.json"),
-                             "--set", "model.g_ghz=40", "--out", str(out)])
+        argv = ["sweep", "--config", str(CONFIGS / "sweep_n4.json"), "--out", str(out)]
+        for item in items:
+            argv += ["--set", item]
+        code, err = run_cli(argv)
         assert (code, err) == (3, "sweep error: every sweep point is Bogoliubov-unstable\n")
         assert list(out.iterdir()) == []
 

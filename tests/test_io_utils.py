@@ -133,7 +133,7 @@ def per_line(path, names, lines, columns=None):
     """Every line through parse_row, the reference parse_rows must match."""
     width = len(names) if columns is None else len(columns)
     return np.array([parse_row(path, names, no, text, columns)
-                     for no, text in lines]).reshape(-1, width)
+                     for no, text in lines]).reshape(len(lines), width)
 
 
 # cells loadtxt and float() both read, cells only float() reads, and cells
@@ -151,7 +151,7 @@ class TestParseRows:
 
     @given(body=st.lists(st.lists(_cell, min_size=3, max_size=3) | st.lists(_cell, max_size=4),
                          max_size=5),
-           columns=st.sampled_from([None, [0, 1], [0, 1, 2], [2]]))
+           columns=st.sampled_from([None, [0, 1], [0, 1, 2], [2], []]))
     @settings(max_examples=300, deadline=None)
     def test_matches_per_line_parse(self, body, columns):
         text = "\n".join(",".join(cells) for cells in body)
@@ -205,6 +205,17 @@ class TestParseRows:
         want = (f"map file {path} {message}" if message == "has no data rows"
                 else f"{path}, {message}")
         assert str(info.value) == want
+
+    @pytest.mark.parametrize("text", ["", "\n", "\n \n\t\n"], ids=["empty", "newline", "blank"])
+    def test_map_file_without_header_has_no_data_rows(self, tmp_path, text):
+        # the header of such a file is one empty line, which loadtxt skips
+        path = tmp_path / "map.csv"
+        path.write_text(text, newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as info:
+                SpectralMap.from_csv(path)
+        assert str(info.value) == f"map file {path} has no data rows"
 
     @pytest.mark.parametrize("body, message", [
         ("0.40,13.0,20\n0.41,13.1\n", "line 3: no prominence_db cell"),
