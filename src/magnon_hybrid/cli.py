@@ -21,11 +21,8 @@ import numpy as np
 
 from . import __version__
 from .config import (
-    as_integer,
-    as_number,
-    as_path,
-    check_keys,
-    check_schema_version,
+    Block,
+    command_config,
     load_config,
     parse_field_grid,
     parse_freq_grid,
@@ -33,7 +30,6 @@ from .config import (
     parse_material,
     parse_model,
     parse_network,
-    require_key,
 )
 from .errors import (
     AllUnstableError,
@@ -60,12 +56,9 @@ from .network import solve_modes, wgm_order
 from .spectra import FLOOR_DB, SpectralMap, load_ridge_csv, synth_map
 from .svgplot import HeatBackground, Series, render_chart
 
-def cmd_modes(cfg: dict, outdir: Path) -> list[Path]:
-    check_schema_version(cfg)
-    check_keys(cfg, {"schema_version", "network", "pattern_zero_tol"}, "")
-    zero_tol = as_number(cfg.get("pattern_zero_tol", 0.05), "pattern_zero_tol",
-                       positive=True)
-    network = parse_network(require_key(cfg, "network", ""))
+def cmd_modes(cfg: Block, outdir: Path) -> list[Path]:
+    zero_tol = cfg.number("pattern_zero_tol", 0.05, positive=True)
+    network = parse_network(cfg)
     spectrum = solve_modes(network, pattern_zero_tol=zero_tol)
 
     doc = spectrum.to_dict()
@@ -85,25 +78,20 @@ def cmd_modes(cfg: dict, outdir: Path) -> list[Path]:
     return [json_path, csv_path]
 
 
-def _sweep_from_cfg(cfg: dict, cells_per_field: int = 0):
-    magnon = parse_magnon(require_key(cfg, "magnon", ""))
-    model, kind = parse_model(require_key(cfg, "model", ""), magnon)
+def _sweep_from_cfg(cfg: Block, cells_per_field: int = 0):
+    magnon = parse_magnon(cfg)
+    model, _ = parse_model(cfg, magnon)
     # a sweep holds one (N+1)x(N+1) matrix per field
-    fields = parse_field_grid(require_key(cfg, "sweep", ""),
-                              max(model.n_modes ** 2, cells_per_field))
-    return model, kind, magnon, fields
+    fields = parse_field_grid(cfg, max(model.n_modes ** 2, cells_per_field))
+    return model, magnon, fields
 
 
-def cmd_sweep(cfg: dict, outdir: Path) -> list[Path]:
-    check_schema_version(cfg)
-    check_keys(cfg, {"schema_version", "model", "magnon", "sweep", "plot"}, "")
-    model, _, magnon, fields = _sweep_from_cfg(cfg)
+def cmd_sweep(cfg: Block, outdir: Path) -> list[Path]:
+    model, magnon, fields = _sweep_from_cfg(cfg)
     background = None
-    plot_cfg = cfg.get("plot", {})
-    check_keys(plot_cfg, {"background_map"}, "plot")
-    if "background_map" in plot_cfg:
-        smap = SpectralMap.from_csv(as_path(plot_cfg["background_map"],
-                                            "plot.background_map"))
+    plot = cfg.block("plot", {"background_map"}, {})
+    if "background_map" in plot:
+        smap = SpectralMap.from_csv(plot.file_path("background_map"))
         background = HeatBackground(x=smap.field_t, y=smap.freq_ghz,
                                     values=smap.magnitude_db)
     branches = sweep(model, magnon, fields)
@@ -131,74 +119,53 @@ def cmd_sweep(cfg: dict, outdir: Path) -> list[Path]:
     return [csv_path, svg_path]
 
 
-def cmd_synth(cfg: dict, outdir: Path) -> list[Path]:
-    check_schema_version(cfg)
-    check_keys(cfg, {"schema_version", "model", "magnon", "sweep", "freq", "noise"}, "")
-    freqs = parse_freq_grid(require_key(cfg, "freq", ""))
-    model, _, magnon, fields = _sweep_from_cfg(cfg, freqs.size)
+def cmd_synth(cfg: Block, outdir: Path) -> list[Path]:
+    freqs = parse_freq_grid(cfg)
+    model, magnon, fields = _sweep_from_cfg(cfg, freqs.size)
     with np.errstate(over="ignore"):     # each map line squares its half-width
         if not np.isfinite(model.mode_linewidths_ghz ** 2).all():
             raise ConfigError("a model or magnon linewidth is too large: its square overflows")
     smap = synth_map(model, magnon, fields, freqs)
     if "noise" in cfg:
-        noise = cfg["noise"]
-        check_keys(noise, {"sigma_db", "seed"}, "noise")
-        sigma = as_number(require_key(noise, "sigma_db", "noise"), "noise.sigma_db",
-                        nonnegative=True)
-        seed = as_integer(require_key(noise, "seed", "noise"), "noise.seed", minimum=0)
-        rng = np.random.default_rng(seed)
+        noise = cfg.block("noise", {"sigma_db", "seed"})
+        sigma = noise.number("sigma_db", nonnegative=True)
+        rng = np.random.default_rng(noise.integer("seed", minimum=0))
         with np.errstate(over="ignore"):
             noisy = np.maximum(
                 smap.magnitude_db + rng.normal(0.0, sigma, smap.magnitude_db.shape),
                 FLOOR_DB)
         if not np.isfinite(noisy).all():     # the map reader would reject it
-            raise ConfigError(f"noise.sigma_db = {sigma:g} makes the noisy map overflow")
+            raise noise.error("sigma_db", f"= {sigma:g} makes the noisy map overflow")
         smap = SpectralMap(smap.field_t, smap.freq_ghz, noisy)
     csv_path = outdir / "map.csv"
     smap.to_csv(csv_path)
     return [csv_path]
 
 
-def cmd_fit(cfg: dict, outdir: Path) -> list[Path]:
-    check_schema_version(cfg)
-    check_keys(cfg, {"schema_version", "data", "model", "magnon", "fit", "classify"}, "")
-    data_cfg = require_key(cfg, "data", "")
-    check_keys(data_cfg, {"path"}, "data")
-    data_path = as_path(require_key(data_cfg, "path", "data"), "data.path")
-    magnon = parse_magnon(require_key(cfg, "magnon", ""))
-    model, kind = parse_model(require_key(cfg, "model", ""), magnon)
+def cmd_fit(cfg: Block, outdir: Path) -> list[Path]:
+    data_path = cfg.block("data", {"path"}).file_path("path")
+    magnon = parse_magnon(cfg)
+    model, kind = parse_model(cfg, magnon)
 
-    fit_cfg = cfg.get("fit", {})
-    check_keys(fit_cfg, {"free", "bounds", "initial", "max_iter"}, "fit")
+    fit_cfg = cfg.block("fit", {"free", "bounds", "initial", "max_iter"}, {})
     free = fit_cfg.get("free", list(default_free(kind)))
     if not isinstance(free, list) or not all(isinstance(name, str) for name in free):
-        raise ConfigError("fit.free must be a list of parameter names")
+        raise fit_cfg.error("free", "must be a list of parameter names")
     if not free:
-        raise ConfigError("fit.free must name at least one parameter")
+        raise fit_cfg.error("free", "must name at least one parameter")
     free = tuple(free)
     names = param_names(kind, model.n_photon)
-    initial_cfg = fit_cfg.get("initial", {})
-    check_keys(initial_cfg, names, "fit.initial")
-    bounds_cfg = fit_cfg.get("bounds", {})
-    check_keys(bounds_cfg, names, "fit.bounds")
+    initial_cfg = fit_cfg.block("initial", names, {})
+    bounds_cfg = fit_cfg.block("bounds", names, {})
     initial = start_values(kind, model, magnon)
-    for key, val in initial_cfg.items():
-        initial[key] = as_number(val, f"fit.initial.{key}")
-    bounds = {}
-    for key, val in bounds_cfg.items():
-        pair = val if isinstance(val, list) and len(val) == 2 else None
-        if pair is None:
-            raise ConfigError(f"fit.bounds.{key} must be [lo, hi]")
-        bounds[key] = (as_number(pair[0], f"fit.bounds.{key}[0]"),
-                       as_number(pair[1], f"fit.bounds.{key}[1]"))
-    max_iter = as_integer(fit_cfg.get("max_iter", 500), "fit.max_iter", minimum=1)
-    cls_cfg = cfg.get("classify", {})
-    check_keys(cls_cfg, {"fsr_ghz", "ultrastrong_threshold"}, "classify")
-    threshold = as_number(cls_cfg.get("ultrastrong_threshold", 0.1),
-                        "classify.ultrastrong_threshold", positive=True)
-    fsr = cls_cfg.get("fsr_ghz")
-    if fsr is not None:
-        fsr = as_number(fsr, "classify.fsr_ghz", positive=True)
+    initial.update((key, initial_cfg.number(key)) for key in initial_cfg.doc)
+    bounds = {key: bounds_cfg.interval(key) for key in bounds_cfg.doc}
+    max_iter = fit_cfg.integer("max_iter", 500, minimum=1)
+    cls_cfg = cfg.block("classify", {"fsr_ghz", "ultrastrong_threshold"}, {})
+    threshold = cls_cfg.number("ultrastrong_threshold", 0.1, positive=True)
+    fsr = None
+    if cls_cfg.get("fsr_ghz", None) is not None:
+        fsr = cls_cfg.number("fsr_ghz", positive=True)
 
     points = load_ridge_csv(data_path)
     if len(points) < 2 * len(free):
@@ -256,20 +223,15 @@ def cmd_fit(cfg: dict, outdir: Path) -> list[Path]:
     return [fit_path, regime_path, svg_path]
 
 
-def cmd_estimate(cfg: dict, outdir: Path) -> list[Path]:
-    check_schema_version(cfg)
-    check_keys(cfg, {"schema_version", "material", "estimate"}, "")
-    ensemble, magnon = parse_material(require_key(cfg, "material", ""))
-    est = require_key(cfg, "estimate", "")
-    check_keys(est, {"cavity_freq_ghz", "mode", "g_ghz"}, "estimate")
-    cavity = as_number(require_key(est, "cavity_freq_ghz", "estimate"),
-                     "estimate.cavity_freq_ghz", positive=True)
+def cmd_estimate(cfg: Block, outdir: Path) -> list[Path]:
+    ensemble, magnon = parse_material(cfg)
+    est = cfg.block("estimate", {"cavity_freq_ghz", "mode", "g_ghz"})
+    cavity = est.number("cavity_freq_ghz", positive=True)
     mode = est.get("mode", "coupling")
     if mode not in ("coupling", "filling"):
-        raise ConfigError("estimate.mode must be 'coupling' or 'filling'")
+        raise est.error("mode", "must be 'coupling' or 'filling'")
     if mode == "filling" or "g_ghz" in est:
-        g_meas = as_number(require_key(est, "g_ghz", "estimate"), "estimate.g_ghz",
-                           positive=True)
+        g_meas = est.number("g_ghz", positive=True)
 
     warnings = []
     if ensemble.filling_factor >= 1.0:
@@ -309,12 +271,18 @@ def cmd_estimate(cfg: dict, outdir: Path) -> list[Path]:
     return [path]
 
 
+#: name: (run, top-level config keys besides schema_version, help)
 _COMMANDS = {
-    "modes": cmd_modes,
-    "sweep": cmd_sweep,
-    "synth": cmd_synth,
-    "fit": cmd_fit,
-    "estimate": cmd_estimate,
+    "modes": (cmd_modes, {"network", "pattern_zero_tol"},
+              "solve a post-network mode spectrum"),
+    "sweep": (cmd_sweep, {"model", "magnon", "sweep", "plot"},
+              "polariton branches versus field"),
+    "synth": (cmd_synth, {"model", "magnon", "sweep", "freq", "noise"},
+              "synthesise a transmission map"),
+    "fit": (cmd_fit, {"data", "model", "magnon", "fit", "classify"},
+            "fit model parameters to branch data and classify the regime"),
+    "estimate": (cmd_estimate, {"material", "estimate"},
+                 "ensemble coupling / filling-factor estimate"),
 }
 
 
@@ -330,12 +298,7 @@ def main(argv=None) -> int:
                     "avoided-crossing data, estimate ensemble couplings.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("modes", "solve a post-network mode spectrum"),
-            ("sweep", "polariton branches versus field"),
-            ("synth", "synthesise a transmission map"),
-            ("fit", "fit model parameters to branch data and classify the regime"),
-            ("estimate", "ensemble coupling / filling-factor estimate")):
+    for name, (_, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--set", action="append", default=[], metavar="KEY.PATH=VALUE",
@@ -348,7 +311,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.set)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        outputs = _COMMANDS[args.command](cfg, outdir)
+        run, keys, _ = _COMMANDS[args.command]
+        outputs = run(command_config(cfg, keys), outdir)
     except (ConfigError, InvalidArgumentError, NonPhysicalError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

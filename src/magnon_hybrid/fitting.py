@@ -7,9 +7,10 @@ Levenberg-Marquardt loop.  Its Jacobian is analytic: the branches are the
 eigenpairs of the position-space matrix S of :mod:`~magnon_hybrid.hamiltonian`,
 so Hellmann-Feynman gives every branch derivative from the eigenvectors of
 the solve that produced the residuals, and an iteration costs only its trial
-solves.  Where a picked branch is degenerate with a neighbour the derivative
-is not defined; that Jacobian is taken by central differences instead and
-counted in :attr:`FitResult.fd_jacobians`.  Trial steps that land on a
+solves plus one Jacobian assembly at the step it accepts.  Where a picked
+branch is degenerate with a neighbour the derivative is not defined; that
+Jacobian is taken by central differences instead and counted in
+:attr:`FitResult.fd_jacobians`.  Trial steps that land on a
 Bogoliubov-unstable model are rejected outright (treated as infinite cost)
 instead of crashing the iteration.
 
@@ -236,18 +237,12 @@ def model_at(problem: FitProblem, params: dict) -> tuple[HybridModel, MagnonMode
 
 
 def _residuals(problem: FitProblem, theta: np.ndarray):
-    """Nearest-branch residuals and their Jacobian from one normal-mode solve.
+    """Nearest-branch residuals from one normal-mode solve.
 
-    Returns (r, jac): r = f - W_pick, each datum minus its nearest branch,
-    and jac = dr/dtheta of shape (n_data, n_free).  Branch k is the square
-    root of the eigenvalue W_k**2 of S = Omega^1/2 (Omega + 2 Lambda)
-    Omega^1/2 with unit eigenvector e_k, so by Hellmann-Feynman
-    dW_k/domega_i = e_ik**2 (omega_i/W_k + W_k/omega_i) / 2 and
-    dW_k/dlambda_ij = 2 sqrt(omega_i omega_j) e_ik e_jk / W_k for a
-    symmetric pair; gyro and field_offset enter through
-    omega_m = gyro * (B - field_offset).  jac is None when a picked branch
-    lies within ``_DEGENERATE_RTOL`` of a neighbour, where the derivative
-    is not defined.  Returns None if the trial model is invalid/unstable.
+    Returns (r, picked): r = f - W_pick, each datum minus its nearest
+    branch, and the solve and branch picks :func:`_branch_jacobian` takes
+    to differentiate r at ``theta``.  Returns None if the trial model is
+    invalid/unstable.
     """
     try:
         omega, freqs, vecs, stable, inverse, magnon = _solve(
@@ -256,27 +251,41 @@ def _residuals(problem: FitProblem, theta: np.ndarray):
         return None
     if not stable.all():      # includes a nonpositive bare frequency
         return None
-    at_points = freqs[inverse]                       # (n_data, n_branch)
-    det = problem.freq_ghz[:, None] - at_points
+    det = problem.freq_ghz[:, None] - freqs[inverse]    # (n_data, n_branch)
     pick = np.argmin(np.abs(det), axis=1)
-    rows = np.arange(det.shape[0])
-    r = det[rows, pick]
+    r = det[np.arange(det.shape[0]), pick]
+    return r, (omega, freqs, vecs, inverse, magnon, pick)
 
+
+def _branch_jacobian(problem: FitProblem, picked) -> np.ndarray | None:
+    """Analytic Jacobian dr/dtheta, shape (n_data, n_free), of the residuals
+    :func:`_residuals` returned with ``picked``.
+
+    Branch k is the square root of the eigenvalue W_k**2 of S = Omega^1/2
+    (Omega + 2 Lambda) Omega^1/2 with unit eigenvector e_k, so by
+    Hellmann-Feynman dW_k/domega_i = e_ik**2 (omega_i/W_k + W_k/omega_i) / 2
+    and dW_k/dlambda_ij = 2 sqrt(omega_i omega_j) e_ik e_jk / W_k for a
+    symmetric pair; gyro and field_offset enter through
+    omega_m = gyro * (B - field_offset).  None when a picked branch lies
+    within ``_DEGENERATE_RTOL`` of a neighbour, where the derivative is not
+    defined.
+    """
+    omega, freqs, vecs, inverse, magnon, pick = picked
     # |diff|: the tie-break may leave tied branches out of order by < 1e-9
     apart = np.abs(np.diff(freqs, axis=1)) > _DEGENERATE_RTOL * freqs[:, 1:]
     isolated = np.ones(freqs.shape, dtype=bool)
     isolated[:, 1:] &= apart
     isolated[:, :-1] &= apart
     if not isolated[inverse, pick].all():
-        return r, None
-    w = at_points[rows, pick]
+        return None
+    w = freqs[inverse, pick]
     om = omega[inverse]
     e = vecs[inverse, pick]                          # (n_data, n_mode)
     dw_domega = 0.5 * e ** 2 * (om / w[:, None] + w[:, None] / om)
     se = np.sqrt(om) * e                             # dW/dlambda_ij = 2 se_i se_j / W
     n = problem.template.n_photon
     routes = _param_routes(problem.model_kind, n)
-    jac = np.empty((r.size, len(problem.free)))
+    jac = np.empty((w.size, len(problem.free)))
     for col, name in enumerate(problem.free):
         if name == "gyro":
             dw = dw_domega[:, n] * (problem.field_t - magnon.field_offset_t)
@@ -288,7 +297,7 @@ def _residuals(problem: FitProblem, theta: np.ndarray):
             for i, j in pairs:
                 dw = dw + 2.0 * se[:, i] * se[:, j] / w
         jac[:, col] = -dw
-    return r, jac
+    return jac
 
 
 def _jacobian(problem: FitProblem, theta: np.ndarray, r0: np.ndarray) -> np.ndarray:
@@ -340,7 +349,8 @@ def fit(problem: FitProblem, *, max_iter: int = 500) -> FitResult:
     out = _residuals(problem, theta)
     if out is None:
         raise InvalidArgumentError("initial parameters give an invalid or unstable model")
-    r, jac = out
+    r, picked = out
+    jac = _branch_jacobian(problem, picked)
     cost = float(r @ r)
     lam = 1e-3
     converged = False
@@ -369,11 +379,12 @@ def fit(problem: FitProblem, *, max_iter: int = 500) -> FitResult:
             if out is None:                      # unstable trial: reject with penalty
                 lam *= 10.0
                 continue
-            rt, jt = out
+            rt, picked = out
             ct = float(rt @ rt)
             if ct < cost:
                 rel = (cost - ct) / max(cost, 1e-300)
-                theta, r, jac, cost = trial, rt, jt, ct
+                theta, r, cost = trial, rt, ct
+                jac = _branch_jacobian(problem, picked)
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
                 if rel < 1e-10:
@@ -488,18 +499,10 @@ def classify(couplings_ghz, mode_freq_ghz, fsr_ghz=None, *,
     """Strong / ultrastrong / superstrong flags for each coupled pair.
 
     ``fsr_ghz`` may be a scalar applied to every pair, a per-mode sequence,
-    a solved :class:`~magnon_hybrid.network.ModeSpectrum` (each coupled mode
-    then uses the gap to its nearest spectrum neighbour), or None, in which
-    case nearest-neighbour spacings of ``mode_freq_ghz`` are used (None
-    again if only one mode is given, leaving the superstrong flag
-    undecided).  The superstrong boundary is inclusive: g >= FSR.
+    or None, in which case nearest-neighbour spacings of ``mode_freq_ghz``
+    are used (None again if only one mode is given, leaving the superstrong
+    flag undecided).  The superstrong boundary is inclusive: g >= FSR.
     """
-    from .network import ModeSpectrum
-    if isinstance(fsr_ghz, ModeSpectrum):
-        spectrum = fsr_ghz.frequencies_ghz
-        omega_arr = np.atleast_1d(np.asarray(mode_freq_ghz, dtype=float))
-        nearest = np.argmin(np.abs(spectrum - omega_arr[:, None]), axis=1)
-        fsr_ghz = _neighbour_gaps(spectrum)[nearest]
     g = np.atleast_1d(np.asarray(couplings_ghz, dtype=float))
     omega = np.atleast_1d(np.asarray(mode_freq_ghz, dtype=float))
     if g.shape != omega.shape:

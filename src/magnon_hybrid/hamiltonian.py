@@ -254,8 +254,10 @@ def _normal_modes(omega: np.ndarray, lam: np.ndarray):
     vecs (m, n, n) with ``vecs[p, k]`` the unit eigenvector e_k of
     S = Omega^1/2 (Omega + 2 Lambda) Omega^1/2 that branch k comes from, and
     the boolean mask of points whose bare frequencies are all positive and
-    finite and whose S is finite and positive definite.  Unstable points are NaN in
-    freqs, fracs and vecs, never raised.
+    finite, whose S is finite and positive definite and whose bare-mode
+    weights are finite.  Unstable points are NaN in freqs, fracs and vecs,
+    never raised; a stable point's fractions are finite, nonnegative and sum
+    to 1.
     """
     m, n = omega.shape
     freqs = np.full((m, n), np.nan)
@@ -273,11 +275,18 @@ def _normal_modes(omega: np.ndarray, lam: np.ndarray):
     ok = w2[:, 0] > 0.0
     stable[stable] = ok
     w = np.sqrt(w2[ok])                               # (ms, branch k)
-    ratio = bare[ok][:, :, None] / w[:, None, :]     # (ms, mode i, branch k)
-    wgt = vecs[ok] ** 2 * (ratio + 1.0 / ratio)
     freqs[stable] = w
-    fracs[stable] = np.transpose(wgt / wgt.sum(axis=1, keepdims=True), (0, 2, 1))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratio = bare[ok][:, :, None] / w[:, None, :]     # (ms, mode i, branch k)
+        wgt = vecs[ok] ** 2 * (ratio + 1.0 / ratio)
+        total = wgt.sum(axis=1, keepdims=True)
+        fracs[stable] = np.transpose(wgt / total, (0, 2, 1))
     evecs[stable] = np.transpose(vecs[ok], (0, 2, 1))
+    # total >= 2 where finite (unit e_k); a subnormal bare frequency can pass
+    # the definiteness test with weights past the float range: unstable
+    lost = np.flatnonzero(stable)[~np.isfinite(total).all(axis=(1, 2))]
+    stable[lost] = False
+    freqs[lost] = fracs[lost] = evecs[lost] = np.nan
     _tiebreak(freqs, fracs, evecs)
     return freqs, fracs, evecs, stable
 

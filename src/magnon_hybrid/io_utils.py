@@ -22,6 +22,11 @@ from .errors import DataError
 #: ``"%.9g" % x`` gives the same text, a whole row at a time
 _num_cell = "{:.9g}".format
 
+#: what ``float`` ignores around a number: every ``str.isspace`` character
+#: except the separators U+001C..U+001F, which it refuses
+_FLOAT_BLANKS = ("\t\n\x0b\x0c\r \x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200b)))
+                 + "\u2028\u2029\u202f\u205f\u3000")
+
 
 def _new_file_mode() -> int:
     """The mode ``open`` gives a new file: 0o666 minus the process umask."""
@@ -112,8 +117,8 @@ def parse_row(path, names, no: int, line: str, columns=None) -> np.ndarray:
         try:
             float(cells[i])
         except ValueError:
-            raise DataError(f"{path}, line {no}: {names[i]} {cells[i].strip()!r} "
-                            "is not a number") from None
+            cell = cells[i].strip(_FLOAT_BLANKS)
+            raise DataError(f"{path}, line {no}: {names[i]} {cell!r} is not a number") from None
 
 
 def parse_rows(path, names, lines, columns=None) -> np.ndarray:

@@ -82,21 +82,6 @@ class CavityNetwork:
             "coupling": self.coupling.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CavityNetwork":
-        try:
-            n = int(doc["n_posts"])
-            freq = doc["post_freq_ghz"]
-            coup = doc["coupling"]
-        except (KeyError, TypeError) as exc:
-            raise InvalidArgumentError(f"network document missing field: {exc}") from exc
-        net = cls(post_freq_ghz=np.asarray(freq, dtype=float),
-                  coupling=np.asarray(coup, dtype=float))
-        if net.n_posts != n:
-            raise InvalidArgumentError(
-                f"n_posts={n} inconsistent with {net.n_posts} post frequencies")
-        return net
-
 
 @dataclass(frozen=True)
 class CavityMode:

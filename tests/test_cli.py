@@ -698,8 +698,9 @@ class TestEntryPoint:
 
 
 class TestOverflowAndSizeLimits:
-    # finite config numbers whose results overflow, and sizes past the cell
-    # limit; every size here is one no machine could allocate
+    # finite config numbers whose results overflow, sizes past the cell
+    # limit (every one no machine could allocate) and a size that does not
+    # match its list
     @pytest.mark.parametrize("command, config, items, message", [
         ("estimate", "estimate_yig", ["estimate.mode=filling", "estimate.g_ghz=1e200"],
          "estimate: the filling estimate is out of floating-point range"),
@@ -726,6 +727,9 @@ class TestOverflowAndSizeLimits:
         ("modes", "modes_ring4", [f"network.ring.n={10**8}"],
          f"network.ring.n = {10**8} needs an array of {10**16} cells; "
          "the limit is 10000000"),
+        ("modes", "modes_ring4", ['network={"n_posts": 3, "post_freq_ghz": [13.0, 13.0], '
+                                  '"coupling": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}'],
+         "network.post_freq_ghz must have length 3"),
         # stable (omega_c omega_m >> 4 g^2), but the solve squares omega_c
         ("sweep", "sweep_n4", ["model.omega_c_ghz=1e200"],
          "a mode frequency is past the float range: its square overflows, "
@@ -735,7 +739,7 @@ class TestOverflowAndSizeLimits:
          "so no sweep point can be solved"),
     ], ids=["filling_g", "coupling_cavity", "ring_omega0", "ring_kappa", "noise_sigma",
             "photon_linewidth", "magnon_linewidth", "sweep_n_field", "synth_n_field",
-            "synth_freq_n", "ring_n", "sweep_omega_c", "sweep_fields"])
+            "synth_freq_n", "ring_n", "network_post_count", "sweep_omega_c", "sweep_fields"])
     def test_exit_2_no_outputs(self, tmp_path, command, config, items, message):
         out = tmp_path / "out"
         argv = [command, "--config", str(CONFIGS / f"{config}.json"), "--out", str(out)]
@@ -746,12 +750,17 @@ class TestOverflowAndSizeLimits:
         assert list(out.iterdir()) == []
 
     # numbers whose overflow numpy handles correctly: an infinite magnon
-    # frequency is an unstable point, an infinite detuning adds no power
+    # frequency is an unstable point, an infinite detuning adds no power; a
+    # subnormal magnon frequency gives weights past the float range, also
+    # an unstable point
     @pytest.mark.parametrize("command, config, item", [
         ("sweep", "sweep_n4", "sweep.field_max_t=1e308"),
         ("synth", "synth_n8", "freq.max_ghz=1e308"),
         ("synth", "synth_n8", "model.omega_c_ghz=[1e200,1e200,1e200]"),
-    ], ids=["sweep_field_max", "synth_freq_max", "synth_omega_c"])
+        ("sweep", "sweep_n4", "sweep.field_min_t=5e-324"),
+        ("synth", "synth_n4", "sweep.field_min_t=5e-324"),
+    ], ids=["sweep_field_max", "synth_freq_max", "synth_omega_c", "sweep_field_subnormal",
+            "synth_field_subnormal"])
     def test_overflow_exits_0_without_warnings(self, tmp_path, command, config, item):
         out = tmp_path / "out"
         with warnings.catch_warnings():

@@ -18,6 +18,7 @@ from magnon_hybrid import (
 )
 from magnon_hybrid import fitting
 from magnon_hybrid.fitting import (
+    _branch_jacobian,
     _jacobian,
     _residuals,
     default_free,
@@ -215,7 +216,8 @@ class TestAnalyticJacobian:
     def test_matches_central_differences(self, make):
         problem = make()
         theta = np.array([problem.initial[name] for name in problem.free])
-        r, jac = _residuals(problem, theta)
+        r, picked = _residuals(problem, theta)
+        jac = _branch_jacobian(problem, picked)
         assert jac.shape == (r.size, len(problem.free))
         # atol: round-off floor of a 1e-6 central difference on ~14 GHz
         # branches, eps * 14 / 1e-6, with headroom for the eigensolver
@@ -236,7 +238,8 @@ class TestAnalyticJacobian:
                              free=("gyro", "field_offset"),
                              initial={"gyro": 27.0, "field_offset": 0.0})
         theta = np.array([27.0, 0.0])
-        r, jac = _residuals(problem, theta)
+        r, picked = _residuals(problem, theta)
+        jac = _branch_jacobian(problem, picked)
         assert jac is None
         res = fit(problem)
         assert res.converged
@@ -441,17 +444,6 @@ class TestClassify:
         assert fsr[2] == pytest.approx(1.45)
         # third coupling 1.37 < 1.45: not superstrong
         assert [p.superstrong for p in report.as_printed] == [True, True, False]
-
-    def test_mode_spectrum_as_fsr_source(self):
-        from magnon_hybrid import ring_network, solve_modes
-        spectrum = solve_modes(ring_network(4, 13.0, -0.1 * 13.0 ** 2))
-        # couple to the lowest ring mode; nearest spectrum neighbour is the
-        # doublet 1.372 GHz above it
-        report = classify([1.5], [11.6276], spectrum)
-        entry = report.as_printed[0]
-        assert entry.fsr_ghz == pytest.approx(1.3724, abs=1e-3)
-        assert entry.superstrong is True
-        assert report.halved[0].superstrong is False
 
     def test_threshold_knob(self):
         lax = classify([1.0], [13.65], None, ultrastrong_threshold=0.05)

@@ -320,6 +320,14 @@ class TestSweep:
         assert np.isnan(br.branch_frequencies()[0]).all()
         assert np.isnan(br.magnon_fractions()[0]).all()
 
+    def test_subnormal_magnon_frequency_point_flagged(self):
+        # S passes the definiteness test, but the weights leave the float range
+        model = build_n4(13.65, 0.155, 1.84, 1.0)
+        br = sweep(model, MagnonMode(28.0, 0.0, 0.001), np.array([5e-324, 0.3]))
+        np.testing.assert_array_equal(br.stable_mask, [False, True])
+        assert np.isnan(br.fracs[0]).all()
+        np.testing.assert_allclose(br.fracs[1].sum(axis=1), 1.0, rtol=1e-12)
+
     @staticmethod
     def per_point_tiebreak(freqs, fracs):
         """The per-point rule the vectorised tie-break replaced, as a reference."""

@@ -192,7 +192,7 @@ class TestParseRows:
         ("", "has no data rows"),
         ("\n \n", "has no data rows"),
         # loadtxt strips U+001F around a number, float() does not
-        ("0.40,-20.0,3\x1f\n", "line 2: 13.1 '3' is not a number"),
+        ("0.40,-20.0,3\x1f\n", "line 2: 13.1 '3\\x1f' is not a number"),
     ], ids=["short_row", "long_row", "trailing_comma", "oops", "blank_cell", "hash_cell",
             "crlf", "blank_lines", "header_only", "blank_body", "unit_separator"])
     def test_malformed_map_message(self, tmp_path, body, message):

@@ -189,18 +189,6 @@ class TestNetworkType:
         with pytest.raises(InvalidArgumentError):
             CavityNetwork([10.0, -1.0], [[0.0, 0.0], [0.0, 0.0]])
 
-    def test_json_round_trip(self):
-        net = ring4()
-        clone = CavityNetwork.from_dict(net.to_dict())
-        np.testing.assert_array_equal(clone.post_freq_ghz, net.post_freq_ghz)
-        np.testing.assert_array_equal(clone.coupling, net.coupling)
-
-    def test_json_inconsistent_count_rejected(self):
-        doc = ring4().to_dict()
-        doc["n_posts"] = 5
-        with pytest.raises(InvalidArgumentError):
-            CavityNetwork.from_dict(doc)
-
     @given(st.floats(min_value=1.0, max_value=30.0),
            st.floats(min_value=-3.0, max_value=3.0))
     @settings(max_examples=25, deadline=None)
