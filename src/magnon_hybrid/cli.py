@@ -155,11 +155,16 @@ def cmd_fit(cfg: Block, outdir: Path) -> list[Path]:
         raise fit_cfg.error("free", "must name at least one parameter")
     free = tuple(free)
     names = param_names(kind, model.n_photon)
+    if len(set(free)) != len(free) or not set(free) <= set(names):
+        raise fit_cfg.error("free", f"must name distinct parameters out of {', '.join(names)}")
     initial_cfg = fit_cfg.block("initial", names, {})
     bounds_cfg = fit_cfg.block("bounds", names, {})
     initial = start_values(kind, model, magnon)
     initial.update((key, initial_cfg.number(key)) for key in initial_cfg.doc)
     bounds = {key: bounds_cfg.interval(key) for key in bounds_cfg.doc}
+    for key, (lo, hi) in bounds.items():
+        if key in free and not lo <= initial[key] <= hi:
+            raise bounds_cfg.error(key, f"= [{lo:g}, {hi:g}] excludes the start {initial[key]:g}")
     max_iter = fit_cfg.integer("max_iter", 500, minimum=1)
     cls_cfg = cfg.block("classify", {"fsr_ghz", "ultrastrong_threshold"}, {})
     threshold = cls_cfg.number("ultrastrong_threshold", 0.1, positive=True)

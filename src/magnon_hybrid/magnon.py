@@ -24,6 +24,9 @@ from .errors import InvalidArgumentError
 
 #: free-electron-like gyromagnetic ratio, GHz per tesla
 GYRO_DEFAULT_GHZ_PER_T = 28.0
+#: reduced Planck constant (J s) and vacuum permeability (N/A^2), CODATA 2022
+HBAR = 1.0545718176461565e-34
+MU_0 = 1.25663706127e-06
 
 
 @dataclass(frozen=True)
@@ -83,15 +86,13 @@ def _angular(ghz: float) -> float:
 def estimate_coupling(ensemble: SpinEnsemble, cavity_freq_ghz: float,
                       gyro_ghz_per_t: float = GYRO_DEFAULT_GHZ_PER_T) -> float:
     """Collective coupling (GHz) of the ensemble to one cavity mode."""
-    from scipy.constants import hbar, mu_0
-
     if cavity_freq_ghz <= 0.0:
         raise InvalidArgumentError("cavity frequency must be positive")
     if gyro_ghz_per_t <= 0.0:
         raise InvalidArgumentError("gyromagnetic ratio must be positive")
     gamma_rad = _angular(gyro_ghz_per_t)  # rad/s per tesla
     omega_c = _angular(cavity_freq_ghz)
-    radicand = (2.0 * ensemble.spin_quantum * mu_0 * hbar * omega_c
+    radicand = (2.0 * ensemble.spin_quantum * MU_0 * HBAR * omega_c
                 * ensemble.spin_density_per_m3 * ensemble.filling_factor)
     g_rad = 0.5 * gamma_rad * np.sqrt(radicand)
     return float(g_rad / (2.0 * np.pi) / 1e9)
@@ -101,8 +102,6 @@ def estimate_filling(g_ghz: float, ensemble: SpinEnsemble, cavity_freq_ghz: floa
                      gyro_ghz_per_t: float = GYRO_DEFAULT_GHZ_PER_T) -> float:
     """Filling factor implied by a measured coupling; inverse of
     :func:`estimate_coupling` (the ensemble's own ``filling_factor`` is ignored)."""
-    from scipy.constants import hbar, mu_0
-
     if g_ghz <= 0.0:
         raise InvalidArgumentError("coupling must be positive")
     if cavity_freq_ghz <= 0.0:
@@ -111,5 +110,5 @@ def estimate_filling(g_ghz: float, ensemble: SpinEnsemble, cavity_freq_ghz: floa
     omega_c = _angular(cavity_freq_ghz)
     g_rad = _angular(g_ghz)
     return float((2.0 * g_rad / gamma_rad) ** 2
-                 / (2.0 * ensemble.spin_quantum * mu_0 * hbar * omega_c
+                 / (2.0 * ensemble.spin_quantum * MU_0 * HBAR * omega_c
                     * ensemble.spin_density_per_m3))

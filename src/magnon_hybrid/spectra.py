@@ -224,6 +224,63 @@ def fit_line(freq_ghz, magnitude_db, center_ghz: float, window_ghz: float):
     return line, line.center_ghz / line.fwhm_ghz
 
 
+def _find_peaks(mag, min_prominence: float):
+    """``scipy.signal.find_peaks(mag[:, c], prominence=min_prominence)`` for
+    every column c at once, as per-column lists of indices and prominences.
+
+    A peak's base on each side is the lowest sample up to the nearest strictly
+    higher one or the column end.  Only turning points can be either, so the
+    search runs on them alone, by binary lifting over a sparse table of block
+    maxima; the base is then a lookup in one of block minima.
+    """
+    n, ncol = mag.shape
+    y = np.ascontiguousarray(mag.T)
+    # step signs per column between sentinel steps 2 before and after it; as
+    # in scipy a NaN is on no peak's flank and stops every search, so a step
+    # into one is 3 and a step out 4, which keeps it as a turning point
+    d = np.empty((ncol, n + 1), dtype=np.int8)
+    d[:, 0] = d[:, n] = 2
+    np.subtract(y[:, 1:] > y[:, :-1], y[:, 1:] < y[:, :-1], out=d[:, 1:n], dtype=np.int8)
+    nan = np.isnan(y)
+    d[:, 1:n][nan[:, 1:]] = 3
+    d[:, 1:n][nan[:, :-1]] = 4
+    turn = np.flatnonzero(d[:, 1:] != d[:, :-1])
+    col, k = np.divmod(turn, n)
+    rise, right = d.ravel()[turn + col] == 1, d.ravel()[turn + col + 1]
+    # a flat top counts once, at its middle, unless it touches a column end
+    plateau = np.append(rise[:-1] & (right[:-1] == 0) & (right[1:] == -1), False)
+    first = np.flatnonzero(rise & (right == -1) | plateau)
+    last = first + plateau[first]
+    # turning values with a NaN before each column and after the last: a
+    # block holding a NaN compares false, so no search leaves its column
+    pos = np.arange(1, turn.size + 1) + col
+    t = np.full(turn.size + ncol + 1, np.nan)
+    t[pos] = y.ravel()[turn]
+    a, b = pos[first], pos[last]
+    top = t[a]
+    levels = n.bit_length()
+    hi_tab, lo_tab = np.empty((levels, t.size)), np.empty((levels, t.size))
+    hi_tab[0] = lo_tab[0] = t
+    for j in range(1, levels):
+        h = 1 << (j - 1)
+        np.maximum(hi_tab[j - 1, :-h], hi_tab[j - 1, h:], out=hi_tab[j, :-h])
+        np.minimum(lo_tab[j - 1, :-h], lo_tab[j - 1, h:], out=lo_tab[j, :-h])
+        hi_tab[j, -h:] = lo_tab[j, -h:] = np.nan
+    for j in range(levels - 1, -1, -1):
+        w = 1 << j
+        a = np.where(hi_tab[j].take(a - w, mode="clip") <= top, a - w, a)
+        b = np.where(hi_tab[j].take(b + 1, mode="clip") <= top, b + w, b)
+
+    def range_min(i0, i1):
+        j = np.frexp(i1 - i0 + 1)[1] - 1
+        return np.minimum(lo_tab[j, i0], lo_tab[j, i1 - (1 << j) + 1])
+
+    prom = top - np.maximum(range_min(a, pos[first]), range_min(pos[last], b))
+    keep = prom >= min_prominence
+    cut = np.searchsorted(col[first][keep], np.arange(1, ncol))
+    return np.split(((k[first] + k[last]) // 2)[keep], cut), np.split(prom[keep], cut)
+
+
 def extract_ridges(smap: SpectralMap, prominence_db: float,
                    max_peaks_per_column: int) -> RidgePoints:
     """Column-wise peak positions above a prominence threshold.
@@ -232,18 +289,15 @@ def extract_ridges(smap: SpectralMap, prominence_db: float,
     prominence first); positions are refined by a 3-point parabola through
     the dB values.  An empty result is valid.
     """
-    from scipy.signal import find_peaks
-
     if max_peaks_per_column < 1:
         raise InvalidArgumentError("max_peaks_per_column must be at least 1")
+    mag = smap.magnitude_db
     fields, freqs, prom = [], [], []
     fax = smap.freq_ghz
-    for c, b in enumerate(smap.field_t):
-        y = smap.magnitude_db[:, c]
-        peaks, props = find_peaks(y, prominence=prominence_db)
+    for b, y, peaks, proms in zip(smap.field_t, mag.T, *_find_peaks(mag, prominence_db)):
         if peaks.size == 0:
             continue
-        keep = np.argsort(props["prominences"])[::-1][:max_peaks_per_column]
+        keep = np.argsort(proms)[::-1][:max_peaks_per_column]
         for p in sorted(keep, key=lambda t: peaks[t]):
             i = peaks[p]
             y0, y1, y2 = y[i - 1], y[i], y[i + 1]
@@ -252,7 +306,7 @@ def extract_ridges(smap: SpectralMap, prominence_db: float,
             step = fax[i + 1] - fax[i] if off >= 0.0 else fax[i] - fax[i - 1]
             fields.append(b)
             freqs.append(fax[i] + off * step)
-            prom.append(props["prominences"][p])
+            prom.append(proms[p])
     return RidgePoints(np.asarray(fields, dtype=float),
                        np.asarray(freqs, dtype=float),
                        np.asarray(prom, dtype=float))

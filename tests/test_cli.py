@@ -19,6 +19,7 @@ from magnon_hybrid.config import load_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 DATA = Path(__file__).resolve().parents[1] / "data"
+N4_PARAMS = "omega_c, g_rl, g, gyro, field_offset"
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -368,7 +369,9 @@ class TestFit:
     @pytest.mark.parametrize("item, message", [
         ("fit.free=5", "fit.free must be a list of parameter names"),
         ('fit.free="omega_c"', "fit.free must be a list of parameter names"),
-        ('fit.free=["g", "g"]', "free parameters must not repeat"),
+        ('fit.free=["g", "g"]', f"fit.free must name distinct parameters out of {N4_PARAMS}"),
+        ('fit.free=["bogus"]', f"fit.free must name distinct parameters out of {N4_PARAMS}"),
+        ("fit.bounds.g=[0, 1]", "fit.bounds.g = [0, 1] excludes the start 1.6"),
         ("fit.bounds=[]", "fit.bounds must be an object"),
         ('fit.bounds={"gamma": [0, 1]}', "unknown key fit.bounds.gamma"),
         ("fit.initial=[]", "fit.initial must be an object"),

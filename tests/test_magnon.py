@@ -60,6 +60,12 @@ class TestMagnonFrequency:
 
 
 class TestEstimateCoupling:
+    def test_constants_match_scipy(self):
+        from scipy.constants import hbar, mu_0
+
+        from magnon_hybrid.magnon import HBAR, MU_0
+        assert (HBAR, MU_0) == (hbar, mu_0)
+
     def test_reference_value(self):
         ens = SpinEnsemble(filling_factor=0.015, **YIG)
         g = estimate_coupling(ens, 13.65, 28.0)

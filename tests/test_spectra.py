@@ -2,8 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from magnon_hybrid import (
     DataError,
@@ -22,6 +23,7 @@ from magnon_hybrid import (
     sweep,
     synth_map,
 )
+from magnon_hybrid.spectra import _find_peaks
 
 
 def doublet_model():
@@ -224,6 +226,38 @@ class TestExtractRidges:
         back = load_ridge_csv(path)
         np.testing.assert_allclose(back.field_t, points.field_t, rtol=1e-8)
         np.testing.assert_allclose(back.freq_ghz, points.freq_ghz, rtol=1e-8)
+
+
+def _column(values):
+    return np.array(values, dtype=float)[:, None]
+
+
+class TestFindPeaksMatchesScipy:
+    """The numpy peak finder against scipy.signal.find_peaks, column by column:
+    small integer cells give ties and plateaus, including at the column ends;
+    a NaN cell is never on a peak's flank and ends a base as scipy's does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mag=arrays(float, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=14),
+                      elements=st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf, -np.inf, np.nan])),
+           threshold=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, np.inf]))
+    @example(mag=_column([2, 2, 1, 3, 3]), threshold=0.0)        # plateaus at both ends
+    @example(mag=_column([3, 1, 2, 2, 1, 3]), threshold=0.0)     # maxima at both ends
+    @example(mag=np.full((6, 2), 1.5), threshold=0.0)            # constant columns
+    @example(mag=_column([1]), threshold=0.0)
+    @example(mag=_column([1, 2]), threshold=0.0)
+    @example(mag=_column([1, 2, 1]), threshold=1.0)
+    @example(mag=_column([-np.inf, np.inf, np.inf, 0, np.inf, -np.inf]), threshold=0.0)
+    @example(mag=_column([np.nan, 0, 2, np.nan, 2, 0, 5, 1, np.nan, -9]), threshold=0.0)
+    def test_indices_and_prominences(self, mag, threshold):
+        from scipy.signal import find_peaks
+
+        peaks, proms = _find_peaks(mag, threshold)
+        assert len(peaks) == len(proms) == mag.shape[1]
+        for c in range(mag.shape[1]):
+            want, props = find_peaks(mag[:, c], prominence=threshold)
+            assert np.array_equal(peaks[c], want)
+            assert np.array_equal(proms[c], props["prominences"])
 
 
 class TestSpectralMapIO:
