@@ -54,8 +54,10 @@ def test_commands_and_ridges_load_no_scipy(tmp_path):
     assert json.loads(out.splitlines()[-1]) == []   # after the commands' own output
 
 
-# each snippet sets ``result`` to a list of floats from a function whose
-# scipy import is local to it
+# each snippet sets ``result`` to a list of floats; a fresh interpreter must
+# give the same floats as this one.  ``fit_line`` and ``fock_oracle`` import
+# scipy locally; the ridge extractor and the coupling estimators, which once
+# did too, must now run without loading any scipy module.
 _SCIPY_USERS = {
     "fit_line": (
         "f = np.linspace(12.9, 13.1, 81)\n"
@@ -65,15 +67,32 @@ _SCIPY_USERS = {
     "fock_oracle": (
         "result = list(mh.fock_oracle(mh.build_n4(13.65, 0.155, 1.84, 12.0), 4))\n"),
 }
+_FORMER_SCIPY_USERS = {
+    "extract_ridges": (
+        "model = mh.build_n4(13.65, 0.155, 1.84, 12.0, photon_linewidth_ghz=(0.014, 0.022),\n"
+        "                    magnon_linewidth_ghz=0.001)\n"
+        "smap = mh.synth_map(model, mh.MagnonMode(28.0, 0.0, 0.001),\n"
+        "                    np.linspace(0.42, 0.55, 6), np.linspace(10.0, 17.0, 400))\n"
+        "pts = mh.extract_ridges(smap, 6.0, 3)\n"
+        "result = [*pts.field_t, *pts.freq_ghz, *pts.prominence_db]\n"),
+    "estimate_coupling": (
+        "ens = mh.SpinEnsemble(spin_density_per_m3=2.1e28, filling_factor=0.015)\n"
+        "g = mh.estimate_coupling(ens, 13.65)\n"
+        "result = [g, mh.estimate_filling(g, ens, 13.65)]\n"),
+}
 
 
-@pytest.mark.parametrize("name", sorted(_SCIPY_USERS))
+@pytest.mark.parametrize("name", sorted({**_SCIPY_USERS, **_FORMER_SCIPY_USERS}))
 def test_scipy_users_run_in_fresh_process(name):
-    code = _SCIPY_USERS[name]
-    out = run_fresh("import json\nimport numpy as np\nimport magnon_hybrid as mh\n"
-                    + code + "print(json.dumps([float(v) for v in result]))")
-    fresh = json.loads(out)
+    code = {**_SCIPY_USERS, **_FORMER_SCIPY_USERS}[name]
+    out = run_fresh("import sys, json\nimport numpy as np\nimport magnon_hybrid as mh\n"
+                    + code + "print(json.dumps([float(v) for v in result]))\n"
+                    + _LOADED_SCIPY)
+    result_line, scipy_line = out.splitlines()
+    fresh = json.loads(result_line)
     scope = {}
     exec("import numpy as np\nimport magnon_hybrid as mh\n" + code, scope)
     assert len(fresh) > 0
     assert fresh == [float(v) for v in scope["result"]]
+    if name in _FORMER_SCIPY_USERS:
+        assert json.loads(scipy_line) == []
