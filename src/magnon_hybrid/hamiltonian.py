@@ -384,62 +384,64 @@ def two_mode_exact(omega_c_ghz: float, omega_m_ghz: float, g_ghz: float) -> np.n
 def fock_oracle(model: HybridModel, n_max: int) -> np.ndarray:
     """Single-polariton transition frequencies from a truncated Fock basis.
 
-    Independent brute-force check on :func:`eigen_full`: the Hamiltonian is
-    assembled in the product Fock basis and restricted to the states with at
-    most n_max quanta in total (the excitation-number-restricted space).
-    Because every term changes total occupation by 0 or +/-2, parity is
-    conserved; each parity sector is solved with one Lanczos run.  The ground
-    state lives in the even sector and the single-polariton states are the
-    lowest odd-sector levels.  The odd levels kept are those actually
-    connected to the ground state by a (a_i + a_i^dag) matrix element, which
-    filters out three-polariton states.
+    Independent brute-force check on :func:`eigen_full`.  The basis is built
+    directly: the C(n_max+M, M) occupation tuples of the M modes with at most
+    n_max quanta in total, coded in base n_max+1 so that the codes come out
+    sorted and a search finds each ladder operator's target.  No product-space
+    operator is formed; the basis may hold at most 1e6 states and its codes
+    must fit 63 bits, both checked before any allocation.  Every term changes
+    total occupation by 0 or +/-2, so parity is conserved; each parity sector
+    is solved with one Lanczos run.  The ground state lives in the even sector
+    and the single-polariton states are the lowest odd-sector levels.  The odd
+    levels kept are those actually connected to the ground state by a
+    (a_i + a_i^dag) matrix element, which filters out three-polariton states.
 
     Returns the N+1 transition energies sorted ascending, converging to
     ``eigen_full(model).frequencies_ghz`` as n_max grows.
     """
+    import math
+
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
+        raise InvalidArgumentError(f"n_max must be an integer, got {type(n_max).__name__}")
+    if n_max < 4:
+        raise InvalidArgumentError("n_max must be at least 4")
+    n_max, n_modes = int(n_max), model.n_modes
+    dim = math.comb(n_max + n_modes, n_modes)
+    if dim > 1_000_000 or (n_max + 1) ** n_modes >= 2 ** 63:
+        raise ResourceLimitError(f"Fock basis of dimension C({n_max}+{n_modes}, {n_modes}) = "
+                                 f"{dim} exceeds the 1e6 limit or its codes need over 63 bits")
     import scipy.sparse as sparse
     from scipy.sparse.linalg import eigsh
 
-    if n_max < 4:
-        raise InvalidArgumentError("n_max must be at least 4")
-    n_modes = model.n_modes
-    dim = (n_max + 1) ** n_modes
-    if dim > 1_000_000:
-        raise ResourceLimitError(
-            f"Fock basis of dimension {dim} exceeds the 1e6 limit")
-    d = n_max + 1
-    lower = sparse.diags(np.sqrt(np.arange(1.0, d)), 1, format="csr")
-    xop = (lower + lower.T).tocsr()
-    nop = sparse.diags(np.arange(d, dtype=float), 0, format="csr")
-    ident = sparse.identity(d, format="csr")
+    occ = np.zeros((0, 1), dtype=np.int64)        # occ[i, s]: quanta of mode i in state s
+    for _ in range(n_modes):
+        reps = n_max + 1 - occ.sum(axis=0)
+        first = np.repeat(np.cumsum(reps) - reps, reps)
+        occ = np.vstack((np.repeat(occ, reps, axis=1), np.arange(first.size) - first))
+    total = occ.sum(axis=0)
+    place = (n_max + 1) ** np.arange(n_modes - 1, -1, -1)
+    codes = place @ occ
 
-    def embed(op, j):
-        out = None
-        for k in range(n_modes):
-            factor = op if k == j else ident
-            out = factor if out is None else sparse.kron(out, factor, format="csr")
-        return out
+    def operator(diag, terms):
+        """``diag`` plus, per (w, moves), w times the product of a_i^dag (s = +1)
+        or a_i (s = -1) over the moves (i, s); targets past n_max quanta drop."""
+        rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag]
+        for w, moves in terms:
+            ok = total <= n_max - sum(s for _, s in moves)
+            for i, s in moves:
+                ok &= occ[i] + s >= 0
+            cols.append(np.flatnonzero(ok))
+            rows.append(np.searchsorted(codes, codes[ok] + sum(s * place[i] for i, s in moves)))
+            vals.append(w * np.prod([np.sqrt(occ[i, ok] + (s > 0)) for i, s in moves], axis=0))
+        rows, cols, vals = (np.concatenate(p) for p in (rows, cols, vals))
+        return sparse.csr_array((vals, (rows, cols)), shape=(dim, dim))
 
-    omega = model.mode_frequencies_ghz
     lam = model.coupling_matrix()
-    xs = [embed(xop, j) for j in range(n_modes)]
-    ham = omega[0] * embed(nop, 0)
-    for j in range(1, n_modes):
-        ham = ham + omega[j] * embed(nop, j)
-    for i in range(n_modes):
-        for j in range(i + 1, n_modes):
-            if lam[i, j] != 0.0:
-                ham = ham + lam[i, j] * (xs[i] @ xs[j])
-    ham = ham.tocsr()
-
-    idx = np.arange(dim)
-    total_occ = np.zeros(dim, dtype=np.int64)
-    for j in range(n_modes):
-        stride = d ** (n_modes - 1 - j)
-        total_occ += (idx // stride) % d
-    kept = total_occ <= n_max
-    even = np.nonzero(kept & (total_occ % 2 == 0))[0]
-    odd = np.nonzero(kept & (total_occ % 2 == 1))[0]
+    ham = operator(model.mode_frequencies_ghz @ occ,
+                   [(lam[i, j], ((i, si), (j, sj))) for i in range(n_modes)
+                    for j in range(i + 1, n_modes) if lam[i, j] != 0.0
+                    for si in (1, -1) for sj in (1, -1)])
+    even, odd = np.flatnonzero(total % 2 == 0), np.flatnonzero(total % 2 == 1)
 
     def lowest(sector, k):
         h = ham[sector][:, sector]
@@ -451,20 +453,17 @@ def fock_oracle(model: HybridModel, n_max: int) -> np.ndarray:
 
     ev_e, vec_e = lowest(even, 1)
     ev_o, vec_o = lowest(odd, min(n_modes + 4, odd.size - 2))
-    e0 = ev_e[0]
     gs = np.zeros(dim)
     gs[even] = vec_e[:, 0]
-
     scores = np.zeros(ev_o.shape[0])
-    for x in xs:
-        amp = vec_o.T @ (x @ gs)[odd]
-        scores += amp ** 2
+    for j in range(n_modes):
+        x = operator(np.zeros(dim), [(1.0, ((j, 1),)), (1.0, ((j, -1),))])
+        scores += (vec_o.T @ (x @ gs)[odd]) ** 2
     keep = np.nonzero(scores > 1e-8 * scores.max())[0]
     if keep.size < n_modes:
         raise ResourceLimitError(
             "could not isolate all single-polariton lines; increase n_max")
-    trans = np.sort(ev_o[keep[:n_modes]] - e0)
-    return trans
+    return np.sort(ev_o[keep[:n_modes]] - ev_e[0])
 
 
 def sweep(model: HybridModel, magnon: MagnonMode, fields_t) -> BranchSet:

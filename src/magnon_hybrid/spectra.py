@@ -285,31 +285,29 @@ def extract_ridges(smap: SpectralMap, prominence_db: float,
                    max_peaks_per_column: int) -> RidgePoints:
     """Column-wise peak positions above a prominence threshold.
 
-    Each column keeps at most ``max_peaks_per_column`` peaks (largest
-    prominence first); positions are refined by a 3-point parabola through
-    the dB values.  An empty result is valid.
+    Each column keeps at most ``max_peaks_per_column`` peaks, largest
+    prominence first and, between equal prominences, the larger index first
+    (a reversed stable sort; numpy's default ``argsort`` is not stable on
+    every CPU); positions are refined by a 3-point parabola through the dB
+    values.  All columns are ranked and refined in one numpy pass.  An empty
+    result is valid.
     """
     if max_peaks_per_column < 1:
         raise InvalidArgumentError("max_peaks_per_column must be at least 1")
-    mag = smap.magnitude_db
-    fields, freqs, prom = [], [], []
-    fax = smap.freq_ghz
-    for b, y, peaks, proms in zip(smap.field_t, mag.T, *_find_peaks(mag, prominence_db)):
-        if peaks.size == 0:
-            continue
-        keep = np.argsort(proms)[::-1][:max_peaks_per_column]
-        for p in sorted(keep, key=lambda t: peaks[t]):
-            i = peaks[p]
-            y0, y1, y2 = y[i - 1], y[i], y[i + 1]
-            denom = y0 - 2.0 * y1 + y2
-            off = 0.0 if denom == 0.0 else np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5)
-            step = fax[i + 1] - fax[i] if off >= 0.0 else fax[i] - fax[i - 1]
-            fields.append(b)
-            freqs.append(fax[i] + off * step)
-            prom.append(proms[p])
-    return RidgePoints(np.asarray(fields, dtype=float),
-                       np.asarray(freqs, dtype=float),
-                       np.asarray(prom, dtype=float))
+    mag, fax = smap.magnitude_db, smap.freq_ghz
+    peaks, proms = _find_peaks(mag, prominence_db)
+    col = np.repeat(np.arange(len(peaks)), [p.size for p in peaks])
+    idx, prom = np.concatenate(peaks), np.concatenate(proms)
+    order = np.lexsort((-idx, -prom, col))
+    rank = np.arange(order.size) - np.searchsorted(col[order], col[order])
+    keep = np.sort(order[rank < max_peaks_per_column])      # back to column, index order
+    i, c = idx[keep], col[keep]
+    y0, y1, y2 = mag[i - 1, c], mag[i, c], mag[i + 1, c]
+    denom = y0 - 2.0 * y1 + y2
+    off = np.divide(0.5 * (y0 - y2), denom, out=np.zeros(i.size), where=denom != 0.0)
+    off = np.clip(off, -0.5, 0.5)
+    step = np.where(off >= 0.0, fax[i + 1] - fax[i], fax[i] - fax[i - 1])
+    return RidgePoints(smap.field_t[c], fax[i] + off * step, prom[keep])
 
 
 def load_ridge_csv(path) -> RidgePoints:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,10 @@ from magnon_hybrid import (
     eigen_full,
     eigen_rwa,
     fock_oracle,
+    magnon_frequency,
     min_gap,
+    ring_network,
+    solve_modes,
     sweep,
     two_mode_exact,
 )
@@ -255,9 +260,60 @@ class TestFockOracle:
             fock_oracle(two_mode(), 3)
 
     def test_resource_limit(self):
+        # the cap is on the restricted dimension C(n_max+4, 4), checked before
+        # any allocation: n_max 40 (135,751 states) is legal, these are not
         m = build_n8(11.2, 12.2, 13.65, 0.1, 0.1, 0.1, 9.0)
-        with pytest.raises(ResourceLimitError):
-            fock_oracle(m, 40)      # 41**4 > 1e6
+        for n_max in (70, 10 ** 9):     # C(74, 4) = 1,215,450
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceLimitError):
+                    fock_oracle(m, n_max)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 100_000       # no basis was allocated
+
+    def test_code_width_limit(self):
+        # 29 photons at n_max 4: 46,376 states, but 5**30 codes overflow 63 bits
+        n = 29
+        m = HybridModel(photon_freq_ghz=np.full(n, 12.0), photon_coupling_ghz=np.zeros((n, n)),
+                        magnon_freq_ghz=12.0, magnon_coupling_ghz=np.full(n, 0.01),
+                        photon_linewidth_ghz=np.zeros(n))
+        with pytest.raises(ResourceLimitError, match="63 bits"):
+            fock_oracle(m, 4)
+
+    @pytest.mark.parametrize("n_max", [5.0, 5.5, "5", True, np.float64(8.0), None])
+    def test_malformed_n_max(self, n_max):
+        with pytest.raises(InvalidArgumentError, match="n_max"):
+            fock_oracle(two_mode(), n_max)
+
+    def test_numpy_integer_n_max(self):
+        np.testing.assert_array_equal(fock_oracle(two_mode(), np.int64(6)),
+                                      fock_oracle(two_mode(), 6))
+
+    def test_ring8_nine_modes(self):
+        # the 9-mode ring-8 shape; its 9**9 product space is out of reach, the
+        # 24,310 states with at most 8 quanta are not.  Measured worst |delta|
+        # over these fields: 3.2e-8 GHz
+        ring = solve_modes(ring_network(8, 13.0, -16.9)).frequencies_ghz
+        g = np.random.default_rng(1).uniform(0.2, 0.6, 8)
+        for field in (0.42, 0.46, 0.50):
+            model = HybridModel(photon_freq_ghz=ring, photon_coupling_ghz=np.zeros((8, 8)),
+                                magnon_freq_ghz=magnon_frequency(MagnonMode(28.0, 0.0, 0.0), field),
+                                magnon_coupling_ghz=g, photon_linewidth_ghz=np.zeros(8))
+            full = eigen_full(model).frequencies_ghz
+            assert np.abs(fock_oracle(model, 8) - full).max() < 3e-7
+
+    def test_photon_photon_coupling(self):
+        # photon 1 reaches the magnon only through the photon pairs, so every
+        # a_i^(dag) a_j^(dag) term of a photon pair moves its line.  Measured
+        # |delta| at n_max 14: 9.2e-11 GHz
+        coup = np.array([[0.0, 1.2, 0.0], [1.2, 0.0, 0.72], [0.0, 0.72, 0.0]])
+        model = HybridModel(photon_freq_ghz=[11.2, 12.2, 13.65], photon_coupling_ghz=coup,
+                            magnon_freq_ghz=12.5, magnon_coupling_ghz=[1.5, 0.0, 1.2],
+                            photon_linewidth_ghz=np.zeros(3))
+        full = eigen_full(model).frequencies_ghz
+        assert np.abs(fock_oracle(model, 14) - full).max() < 1e-9
 
     def test_oracle_equivalence_sample(self):
         rng = np.random.default_rng(42)

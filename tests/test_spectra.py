@@ -228,6 +228,47 @@ class TestExtractRidges:
         np.testing.assert_allclose(back.freq_ghz, points.freq_ghz, rtol=1e-8)
 
 
+def _ridges_per_column(smap, prominence_db, max_peaks_per_column):
+    """Reference: one column at a time, best prominences by a reversed stable
+    argsort (ties to the larger index), each kept peak refined by a scalar
+    parabola."""
+    fields, freqs, prom = [], [], []
+    fax = smap.freq_ghz
+    for b, y, peaks, proms in zip(smap.field_t, smap.magnitude_db.T,
+                                  *_find_peaks(smap.magnitude_db, prominence_db)):
+        keep = np.argsort(proms, kind="stable")[::-1][:max_peaks_per_column]
+        for p in sorted(keep, key=lambda t: peaks[t]):
+            i = peaks[p]
+            y0, y1, y2 = y[i - 1], y[i], y[i + 1]
+            denom = y0 - 2.0 * y1 + y2
+            off = 0.0 if denom == 0.0 else np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5)
+            step = fax[i + 1] - fax[i] if off >= 0.0 else fax[i] - fax[i - 1]
+            fields.append(b)
+            freqs.append(fax[i] + off * step)
+            prom.append(proms[p])
+    return fields, freqs, prom
+
+
+class TestExtractRidgesMatchesColumnLoop:
+    """The one-pass ranking and refinement against a per-column loop, on maps
+    of small integer cells (tied prominences, flat tops, zero parabola
+    denominators) with NaN cells."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_points(self, seed):
+        rng = np.random.default_rng(seed)
+        mag = rng.integers(0, 4, (30, 40)).astype(float)
+        mag[rng.random(mag.shape) < 0.05] = np.nan
+        smap = SpectralMap(np.linspace(0.1, 0.5, 40), np.sort(rng.uniform(9.0, 15.0, 30)), mag)
+        for threshold in (0.0, 1.0, 2.0):
+            for k in (1, 2, 3, 14):
+                points = extract_ridges(smap, threshold, k)
+                fields, freqs, prom = _ridges_per_column(smap, threshold, k)
+                assert np.array_equal(points.field_t, fields)
+                assert np.array_equal(points.freq_ghz, freqs)
+                assert np.array_equal(points.prominence_db, prom)
+
+
 def _column(values):
     return np.array(values, dtype=float)[:, None]
 
